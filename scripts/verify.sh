@@ -14,10 +14,9 @@
 #   scripts/verify.sh --tsan   ThreadSanitizer pass over the concurrency
 #                              layer: builds test_dpp (scheduler + the
 #                              concurrent-dispatch/nesting/stealing stress
-#                              tests), test_comm (mailbox + incremental
-#                              all-to-all sessions + payload pool), test_fft
-#                              (pipelined transpose: concurrent
-#                              pack/exchange/unpack), test_faults (fault
+#                              tests), test_comm (mailbox collectives +
+#                              payload pool), test_fft (transposes with
+#                              pooled pack/unpack), test_faults (fault
 #                              injection on the comm/listener/staging hot
 #                              paths, including the coordinated-abort
 #                              collectives), and test_halo_parallel (the

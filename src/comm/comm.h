@@ -25,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -68,27 +67,6 @@ class Mailbox {
           return msg;
         }
       }
-      cv_.wait(lock);
-    }
-  }
-
-  /// Takes the earliest message with `tag` whose source has wanted[source]
-  /// set — the any-source matching the incremental all-to-all session drains
-  /// with. Per-source FIFO still holds: for any single source the earliest
-  /// overall match is also that source's earliest message. Non-blocking when
-  /// `block` is false (returns nullopt if nothing matches right now).
-  std::optional<Message> take_any(int tag, std::span<const std::uint8_t> wanted,
-                                  bool block) {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-        if (it->tag == tag && wanted[static_cast<std::size_t>(it->source)]) {
-          Message msg = std::move(*it);
-          queue_.erase(it);
-          return msg;
-        }
-      }
-      if (!block) return std::nullopt;
       cv_.wait(lock);
     }
   }
@@ -401,9 +379,6 @@ class Comm {
   }
 
  private:
-  template <typename U>
-  friend class AlltoallvFlatSession;
-
   static constexpr int kTagBarrierIn = -1;
   static constexpr int kTagBarrierOut = -2;
   static constexpr int kTagBcast = -3;
@@ -411,7 +386,6 @@ class Comm {
   static constexpr int kTagGather = -5;
   static constexpr int kTagAllToAll = -6;
   static constexpr int kTagScan = -7;
-  static constexpr int kTagAllToAllPipe = -8;
 
   template <typename T>
   static T combine(T a, T b, ReduceOp op) {
@@ -512,201 +486,6 @@ class Comm {
 
   World* world_;
   int rank_;
-};
-
-/// Incremental personalized all-to-all — the pipelined counterpart of
-/// alltoallv_flat. Where the batched collective requires the whole send
-/// buffer up front and delivers the whole receive buffer at once, a session
-/// lets the caller
-///   * post_block(d, span)  — ship destination d's block the moment it is
-///     ready (producers overlap packing with the exchange),
-///   * prefetch()           — non-blocking: move every landed block out of
-///     the mailbox into the session (payload moves only — cheap enough to
-///     call between packs without delaying the caller's own posts),
-///   * poll(on_block)       — non-blocking: deliver every block already
-///     landed or prefetched (consumers overlap unpacking with later packs),
-///   * finish(on_block)     — block until every remaining source block has
-///     arrived (payload moves only — no unpack compute runs while peers are
-///     still packing), then deliver everything in arrival order.
-/// on_block(src, span<const T>) is invoked exactly once per source rank, in
-/// arrival order; callers that need a deterministic result must write each
-/// block to a source-addressed (disjoint) region, as the FFT transposes do.
-///
-/// Matching mirrors the collectives' contract: every rank opens sessions in
-/// the same order, each session consumes exactly one block per source (the
-/// mailbox's per-source FIFO keeps back-to-back sessions from stealing each
-/// other's blocks), and the self block never touches the mailbox. Blocks
-/// that prefetch/poll found already landed are counted as
-/// comm.a2a_blocks_overlapped — the hidden fraction of the exchange.
-template <typename T>
-class AlltoallvFlatSession {
- public:
-  /// `recv_counts[s]` = elements rank s will send to this rank (element
-  /// count of each on_block span). One session per collective exchange.
-  AlltoallvFlatSession(Comm& comm, std::span<const std::size_t> recv_counts)
-      : comm_(&comm),
-        recv_counts_(recv_counts.begin(), recv_counts.end()),
-        wanted_(static_cast<std::size_t>(comm.size()), std::uint8_t{0}),
-        posted_(static_cast<std::size_t>(comm.size()), std::uint8_t{0}),
-        peers_remaining_(static_cast<std::size_t>(comm.size()) - 1) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    COSMO_REQUIRE(static_cast<int>(recv_counts_.size()) == comm.size(),
-                  "session needs one recv count per rank");
-    // Mailbox matching starts wanting every peer; the self block is
-    // delivered out of band at the first poll/finish after its post.
-    for (int r = 0; r < comm.size(); ++r)
-      wanted_[static_cast<std::size_t>(r)] = r != comm.rank();
-    COSMO_COUNT("comm.alltoallv_sessions", 1);
-  }
-
-  AlltoallvFlatSession(const AlltoallvFlatSession&) = delete;
-  AlltoallvFlatSession& operator=(const AlltoallvFlatSession&) = delete;
-
-  /// Ships destination `dest`'s block. Buffered-send semantics: the data is
-  /// copied out immediately, so the caller may reuse the span's storage for
-  /// the next block. Each destination must be posted exactly once.
-  void post_block(int dest, std::span<const T> block) {
-    COSMO_REQUIRE(dest >= 0 && dest < comm_->size(), "destination out of range");
-    COSMO_REQUIRE(!posted_[static_cast<std::size_t>(dest)],
-                  "session block posted twice");
-    posted_[static_cast<std::size_t>(dest)] = 1;
-    ++posted_count_;
-    if (dest == comm_->rank()) {
-      self_.assign(block.begin(), block.end());
-      self_pending_ = true;
-    } else {
-      comm_->send_raw(dest, Comm::kTagAllToAllPipe, block);
-    }
-  }
-
-  /// Non-blocking drain: delivers every source block already landed (and the
-  /// self block once posted). Returns the number of blocks delivered.
-  template <typename F>
-  std::size_t poll(F&& on_block) {
-    return drain(/*block_until_done=*/false, on_block);
-  }
-
-  /// Non-blocking receive WITHOUT delivery: moves every landed source block
-  /// out of the mailbox into the session's stash (payload pointer moves, no
-  /// copy). Cheap enough to call between packs — unlike poll, it never runs
-  /// the caller's unpack in the middle of the producing loop, so the
-  /// caller's own posts are not delayed behind consume work. Stashed blocks
-  /// are delivered first (in arrival order) by the next poll/finish.
-  /// Returns the number of blocks stashed.
-  std::size_t prefetch() {
-    std::size_t taken = 0;
-    while (peers_remaining_ > stash_.size()) {
-      auto msg = comm_->world_->box(comm_->rank())
-                     .take_any(Comm::kTagAllToAllPipe, wanted_, false);
-      if (!msg) break;
-      COSMO_COUNT("comm.a2a_blocks_overlapped", 1);
-      COSMO_COUNT("comm.msgs_recv", 1);
-      COSMO_COUNT("comm.bytes_recv", msg->payload.size());
-      wanted_[static_cast<std::size_t>(msg->source)] = 0;
-      stash_.push_back(std::move(*msg));
-      ++taken;
-    }
-    return taken;
-  }
-
-  /// Blocking drain of every outstanding source block. All destinations must
-  /// have been posted first (a rank that blocked here without sending would
-  /// deadlock its peers). Every outstanding block is received (payload moves
-  /// only) BEFORE any on_block runs, so the unpack compute of early arrivals
-  /// never steals cycles from the stragglers still packing. After finish the
-  /// session is complete.
-  template <typename F>
-  void finish(F&& on_block) {
-    COSMO_REQUIRE(posted_count_ == comm_->size(),
-                  "session finish before every block was posted");
-    drain(/*block_until_done=*/true, on_block);
-  }
-
-  /// Blocks (self included) not yet delivered to on_block.
-  std::size_t remaining() const {
-    return peers_remaining_ + (self_delivered_ ? 0 : 1);
-  }
-
- private:
-  template <typename F>
-  std::size_t drain(bool block_until_done, F& on_block) {
-    std::size_t delivered = 0;
-    // Blocking drain: pull EVERY outstanding block into the stash before
-    // running any unpack compute. While this rank waits, the stragglers it
-    // waits on are still packing — interposing consume work between takes
-    // would slow exactly those peers whenever cores are shared (the
-    // co-scheduled regime), lengthening everyone's wait. Payload moves are
-    // the only work inside the timed window, so comm.recv_wait_us measures
-    // pure block availability, comparable across exchange modes.
-    if (block_until_done) {
-      while (stash_.size() < peers_remaining_) {
-#ifndef COSMO_OBS_DISABLED
-        WallTimer wait_timer;
-#endif
-        auto msg = comm_->world_->box(comm_->rank())
-                       .take_any(Comm::kTagAllToAllPipe, wanted_, true);
-#ifndef COSMO_OBS_DISABLED
-        COSMO_COUNT("comm.recv_wait_us",
-                    static_cast<std::uint64_t>(wait_timer.seconds() * 1e6));
-#endif
-        COSMO_COUNT("comm.msgs_recv", 1);
-        COSMO_COUNT("comm.bytes_recv", msg->payload.size());
-        wanted_[static_cast<std::size_t>(msg->source)] = 0;
-        stash_.push_back(std::move(*msg));
-      }
-    }
-    if (self_pending_) {
-      self_pending_ = false;
-      self_delivered_ = true;
-      on_block(comm_->rank(), std::span<const T>(self_));
-      self_.clear();
-      self_.shrink_to_fit();
-      ++delivered;
-    }
-    // Stashed blocks in arrival order.
-    while (!stash_.empty()) {
-      detail::Message msg = std::move(stash_.front());
-      stash_.erase(stash_.begin());
-      deliver(std::move(msg), on_block);
-      ++delivered;
-    }
-    while (!block_until_done && peers_remaining_ > 0) {
-      auto msg = comm_->world_->box(comm_->rank())
-                     .take_any(Comm::kTagAllToAllPipe, wanted_, false);
-      if (!msg) break;
-      COSMO_COUNT("comm.a2a_blocks_overlapped", 1);
-      COSMO_COUNT("comm.msgs_recv", 1);
-      COSMO_COUNT("comm.bytes_recv", msg->payload.size());
-      wanted_[static_cast<std::size_t>(msg->source)] = 0;
-      deliver(std::move(*msg), on_block);
-      ++delivered;
-    }
-    return delivered;
-  }
-
-  template <typename F>
-  void deliver(detail::Message&& msg, F& on_block) {
-    const int src = msg.source;
-    const std::size_t count = recv_counts_[static_cast<std::size_t>(src)];
-    COSMO_REQUIRE(msg.payload.size() == count * sizeof(T),
-                  "session block size does not match recv count");
-    on_block(src,
-             std::span<const T>(
-                 reinterpret_cast<const T*>(msg.payload.data()), count));
-    comm_->world_->release_payload(std::move(msg.payload));
-    --peers_remaining_;
-  }
-
-  Comm* comm_;
-  std::vector<std::size_t> recv_counts_;
-  std::vector<std::uint8_t> wanted_;  // mailbox sources still outstanding
-  std::vector<std::uint8_t> posted_;  // destinations already posted
-  std::vector<T> self_;               // copy of the self block until delivery
-  bool self_pending_ = false;
-  bool self_delivered_ = false;
-  int posted_count_ = 0;
-  std::size_t peers_remaining_;  // mailbox blocks not yet delivered
-  std::vector<detail::Message> stash_;  // prefetched, undelivered blocks
 };
 
 /// Runs `body` as an SPMD program on `nranks` rank-threads and joins them.

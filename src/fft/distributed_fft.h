@@ -11,19 +11,11 @@
 //   k space slab:     index = (ky_local*n + kx)*n + kz     (kz fastest)
 //
 // Execution: the per-pencil 1-D row transforms and the transpose pack/unpack
-// copy loops dispatch on the dpp pool (set_backend), and the transposes
-// themselves come in two exchange modes:
-//   * Batched   — pack all P pencil blocks into one contiguous buffer, ship
-//     it with a single alltoallv_flat, then unpack. One collective, but
-//     pack → exchange → unpack run strictly sequentially per rank.
-//   * Pipelined — post each destination block through an incremental
-//     AlltoallvFlatSession the moment it finishes packing, and unpack each
-//     source block as it arrives (non-blocking poll between packs, blocking
-//     finish after the last). Receives that landed during packing never show
-//     up in comm.recv_wait_us — the overlap hides most of the exchange.
-// Both modes and both backends produce bit-identical output: every unpack
-// writes a source-addressed disjoint region, every row transform owns its
-// row, and block boundaries never depend on scheduling.
+// copy loops dispatch on the dpp pool (set_backend). Each transpose packs
+// all P pencil blocks into one contiguous buffer, ships it with a single
+// alltoallv_flat, then unpacks. Both backends produce bit-identical output:
+// every unpack writes a source-addressed disjoint region, every row
+// transform owns its row, and block boundaries never depend on scheduling.
 #pragma once
 
 #include <complex>
@@ -40,11 +32,6 @@ namespace cosmo::fft {
 
 class DistributedFft {
  public:
-  enum class ExchangeMode {
-    Batched,    ///< one alltoallv_flat per transpose (the pre-pipeline path)
-    Pipelined,  ///< incremental session: pack/exchange/unpack overlap
-  };
-
   DistributedFft(comm::Comm& comm, std::size_t n)
       : comm_(&comm), n_(n), nslab_(n / static_cast<std::size_t>(comm.size())) {
     COSMO_REQUIRE(is_pow2(n), "grid size must be a power of two");
@@ -65,10 +52,6 @@ class DistributedFft {
   /// pack/unpack copy loops. Output is bit-identical across backends.
   void set_backend(dpp::Backend b) { backend_ = b; }
   dpp::Backend backend() const { return backend_; }
-
-  /// Transpose exchange strategy; output is bit-identical across modes.
-  void set_exchange_mode(ExchangeMode m) { mode_ = m; }
-  ExchangeMode exchange_mode() const { return mode_; }
 
   /// Rows per scheduler chunk for the 1-D row transforms (0 = auto).
   void set_row_grain(std::size_t g) { row_grain_ = g; }
@@ -105,7 +88,7 @@ class DistributedFft {
           },
           row_grain_);
     }
-    transpose_z_to_y(slab);
+    transpose(slab, /*z_to_y=*/true);
     {
       COSMO_TRACE_SPAN_CAT("fft.rows", "fft");
       // z transform: contiguous runs of length n in the transposed layout.
@@ -133,7 +116,7 @@ class DistributedFft {
           },
           row_grain_);
     }
-    transpose_y_to_z(slab);
+    transpose(slab, /*z_to_y=*/false);
     {
       COSMO_TRACE_SPAN_CAT("fft.rows", "fft");
       dpp::for_each_chunk(
@@ -168,14 +151,6 @@ class DistributedFft {
  private:
   void check_size(const std::vector<Complex>& slab) const {
     COSMO_REQUIRE(slab.size() == local_size(), "slab buffer has wrong size");
-  }
-
-  /// Elements each rank exchanges with each peer: every peer owns an equal
-  /// slab, so all counts equal nslab²·n. One flat count vector serves as
-  /// both send and recv counts for either exchange path.
-  std::vector<std::size_t> uniform_counts() const {
-    return std::vector<std::size_t>(static_cast<std::size_t>(comm_->size()),
-                                    nslab_ * n_ * nslab_);
   }
 
   // ---- pack/unpack kernels -----------------------------------------------
@@ -248,30 +223,16 @@ class DistributedFft {
         copy_grain_);
   }
 
-  // ---- transposes --------------------------------------------------------
+  // ---- transpose --------------------------------------------------------
 
-  // Redistribute from z-slabs (x fastest) to ky-slabs (kz fastest).
-  // Element (z, y, x) moves to rank owning y, landing at (y_local, x, z).
-  void transpose_z_to_y(std::vector<Complex>& slab) {
-    if (mode_ == ExchangeMode::Batched)
-      transpose_batched(slab, /*z_to_y=*/true);
-    else
-      transpose_pipelined(slab, /*z_to_y=*/true);
-  }
-
-  // Exact inverse of transpose_z_to_y (same exchange machinery).
-  void transpose_y_to_z(std::vector<Complex>& slab) {
-    if (mode_ == ExchangeMode::Batched)
-      transpose_batched(slab, /*z_to_y=*/false);
-    else
-      transpose_pipelined(slab, /*z_to_y=*/false);
-  }
-
-  /// Batched exchange: all P pencil blocks packed into ONE contiguous
-  /// destination-major buffer (displacement of rank d = d·nslab²·n) and
-  /// shipped in a single flat all-to-all — no per-destination vector
-  /// allocations and no per-source payload-to-vector copy on receive.
-  void transpose_batched(std::vector<Complex>& slab, bool z_to_y) {
+  /// z_to_y redistributes from z-slabs (x fastest) to ky-slabs (kz
+  /// fastest): element (z, y, x) moves to the rank owning y, landing at
+  /// (y_local, x, z). !z_to_y is its exact inverse. All P pencil blocks are
+  /// packed into ONE contiguous destination-major buffer (displacement of
+  /// rank d = d·nslab²·n) and shipped in a single flat all-to-all — no
+  /// per-destination vector allocations and no per-source payload-to-vector
+  /// copy on receive.
+  void transpose(std::vector<Complex>& slab, bool z_to_y) {
     const int P = comm_->size();
     const std::size_t block = nslab_ * n_ * nslab_;
     std::vector<Complex> packed(local_size());
@@ -285,7 +246,9 @@ class DistributedFft {
           pack_y_to_z(slab, d, buf);
       }
     }
-    const auto counts = uniform_counts();
+    // Every peer owns an equal slab, so each rank sends and receives one
+    // block per peer: one count vector serves as both send and recv counts.
+    const std::vector<std::size_t> counts(static_cast<std::size_t>(P), block);
     std::vector<Complex> recv;
     {
       COSMO_TRACE_SPAN_CAT("fft.exchange", "fft");
@@ -303,58 +266,10 @@ class DistributedFft {
     }
   }
 
-  /// Pipelined exchange: one block-sized pack scratch, reused per
-  /// destination (post_block copies into the message payload immediately);
-  /// arrived source blocks are drained out of the mailbox between packs
-  /// (prefetch: payload moves only, so this rank's remaining posts are
-  /// never delayed behind unpack compute) and unpacked in arrival order by
-  /// finish, where the unpack of early blocks overlaps the wait for
-  /// stragglers. Unpacks target `out` rather than `slab` because later
-  /// packs still read `slab`. Every unpack writes a source-addressed
-  /// disjoint region of `out`, so arrival order cannot change the result.
-  void transpose_pipelined(std::vector<Complex>& slab, bool z_to_y) {
-    const int P = comm_->size();
-    const int rank = comm_->rank();
-    const std::size_t block = nslab_ * n_ * nslab_;
-    const auto counts = uniform_counts();
-    std::vector<Complex> out(local_size());
-    std::vector<Complex> scratch(block);
-    comm::AlltoallvFlatSession<Complex> session(*comm_, counts);
-    auto unpack = [&](int s, std::span<const Complex> buf) {
-      COSMO_TRACE_SPAN_CAT("fft.unpack", "fft");
-      COSMO_REQUIRE(buf.size() == block, "transpose block size mismatch");
-      if (z_to_y)
-        unpack_z_to_y(buf.data(), s, out.data());
-      else
-        unpack_y_to_z(buf.data(), s, out.data());
-    };
-    // Stagger destinations (self last): every peer starts receiving its
-    // block up to P−1 pack-times earlier than the batched path would send
-    // it, and blocks that land meanwhile are unpacked before the next pack.
-    for (int step = 1; step <= P; ++step) {
-      const int d = (rank + step) % P;
-      {
-        COSMO_TRACE_SPAN_CAT("fft.pack", "fft");
-        if (z_to_y)
-          pack_z_to_y(slab, d, scratch.data());
-        else
-          pack_y_to_z(slab, d, scratch.data());
-      }
-      session.post_block(d, std::span<const Complex>(scratch));
-      session.prefetch();
-    }
-    {
-      COSMO_TRACE_SPAN_CAT("fft.exchange", "fft");
-      session.finish(unpack);
-    }
-    slab.swap(out);
-  }
-
   comm::Comm* comm_;
   std::size_t n_;
   std::size_t nslab_;
   dpp::Backend backend_ = dpp::Backend::Serial;
-  ExchangeMode mode_ = ExchangeMode::Pipelined;
   std::size_t row_grain_ = 0;
   std::size_t copy_grain_ = 0;
 };

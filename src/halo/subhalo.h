@@ -25,16 +25,11 @@
 #include <vector>
 
 #include "dpp/primitives.h"
-#include "halo/bh_tree.h"
 #include "halo/kdtree.h"
 #include "sim/particles.h"
 #include "util/error.h"
 
 namespace cosmo::halo {
-
-/// Spatial search engine for the density estimate: the k-d tree, or the
-/// Barnes-Hut octree the paper names for this task (§3.3.1).
-enum class NeighborEngine { KdTree, BhTree };
 
 struct SubhaloConfig {
   std::size_t num_neighbors = 20;   ///< k for the SPH density estimate
@@ -44,7 +39,6 @@ struct SubhaloConfig {
   std::size_t unbind_passes = 8;    ///< max unbinding iterations
   double velocity_scale = 1.0;      ///< converts stored velocities to the
                                     ///< potential's energy units
-  NeighborEngine engine = NeighborEngine::KdTree;
   /// Execution backend for the per-member density estimates (tree queries
   /// are read-only, so members evaluate independently). ThreadPool shares
   /// the work-stealing pool with co-scheduled ranks; Serial reproduces the
@@ -88,39 +82,6 @@ inline std::vector<double> local_densities(const sim::ParticleSet& p,
       std::min(cfg.num_neighbors + 1, members.size());  // +1: self
   std::vector<double> rho(members.size(), 0.0);
 
-  auto estimate = [&](std::size_t m, const std::vector<std::uint32_t>& nbrs,
-                      auto&& dist) {
-    const std::uint32_t i = members[m];
-    double h = 0.0;
-    for (const auto j : nbrs) h = std::max(h, dist(i, j));
-    if (h <= 0.0) h = 1e-10;
-    double d = 0.0;
-    for (const auto j : nbrs)
-      d += cfg.particle_mass * detail::sph_kernel(dist(i, j), h);
-    rho[m] = d;
-  };
-
-  if (cfg.engine == NeighborEngine::BhTree) {
-    // The Barnes-Hut octree path the paper describes. Non-periodic: a
-    // parent halo is compact, and the FOF pipeline hands members with
-    // unwrapped coordinates.
-    BhTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()));
-    auto dist = [&](std::uint32_t a, std::uint32_t j) {
-      const double dx = static_cast<double>(p.x[a]) - p.x[j];
-      const double dy = static_cast<double>(p.y[a]) - p.y[j];
-      const double dz = static_cast<double>(p.z[a]) - p.z[j];
-      return std::sqrt(dx * dx + dy * dy + dz * dz);
-    };
-    dpp::for_each_index(
-        cfg.backend, members.size(),
-        [&](std::size_t m) {
-          const std::uint32_t i = members[m];
-          estimate(m, tree.k_nearest(p.x[i], p.y[i], p.z[i], k), dist);
-        },
-        cfg.density_grain);
-    return rho;
-  }
-
   Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
   KdTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()),
               per);
@@ -132,7 +93,14 @@ inline std::vector<double> local_densities(const sim::ParticleSet& p,
       cfg.backend, members.size(),
       [&](std::size_t m) {
         const std::uint32_t i = members[m];
-        estimate(m, tree.k_nearest(p.x[i], p.y[i], p.z[i], k), dist);
+        const auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], k);
+        double h = 0.0;
+        for (const auto j : nbrs) h = std::max(h, dist(i, j));
+        if (h <= 0.0) h = 1e-10;
+        double d = 0.0;
+        for (const auto j : nbrs)
+          d += cfg.particle_mass * detail::sph_kernel(dist(i, j), h);
+        rho[m] = d;
       },
       cfg.density_grain);
   return rho;

@@ -2,10 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <numeric>
-#include <thread>
 #include <vector>
 
 #include "comm/comm.h"
@@ -268,119 +266,6 @@ TEST(Comm, RankExceptionPropagatesToCaller) {
                           // Rank 0 does no communication so it exits cleanly.
                         }),
                Error);
-}
-
-TEST_P(CommRanks, AlltoallvFlatSessionMatchesBatched) {
-  const int P = GetParam();
-  run_spmd(P, [&](Comm& c) {
-    // Same traffic as AlltoallvFlatMatchesNestedAlltoallv, but posted block
-    // by block through a session, with polls interleaved between posts.
-    std::vector<std::size_t> send_counts(static_cast<std::size_t>(P));
-    std::vector<std::size_t> recv_counts(
-        static_cast<std::size_t>(P), static_cast<std::size_t>(c.rank() + 1));
-    for (int d = 0; d < P; ++d)
-      send_counts[static_cast<std::size_t>(d)] = static_cast<std::size_t>(d + 1);
-
-    std::vector<std::vector<int>> got(static_cast<std::size_t>(P));
-    std::size_t deliveries = 0;
-    auto on_block = [&](int src, std::span<const int> block) {
-      auto& slot = got[static_cast<std::size_t>(src)];
-      ASSERT_TRUE(slot.empty()) << "block from rank " << src << " twice";
-      slot.assign(block.begin(), block.end());
-      if (slot.empty()) slot.push_back(-1);  // mark zero-count deliveries
-      ++deliveries;
-    };
-
-    comm::AlltoallvFlatSession<int> session(c, recv_counts);
-    std::vector<int> scratch;
-    for (int d = 0; d < P; ++d) {
-      scratch.assign(send_counts[static_cast<std::size_t>(d)],
-                     100 * c.rank() + d);
-      session.post_block(d, std::span<const int>(scratch));
-      session.poll(on_block);
-    }
-    session.finish(on_block);
-
-    EXPECT_EQ(deliveries, static_cast<std::size_t>(P));
-    EXPECT_EQ(session.remaining(), 0u);
-    for (int s = 0; s < P; ++s) {
-      const auto& block = got[static_cast<std::size_t>(s)];
-      ASSERT_EQ(block.size(), static_cast<std::size_t>(c.rank() + 1));
-      for (int v : block) EXPECT_EQ(v, 100 * s + c.rank()) << "from rank " << s;
-    }
-  });
-}
-
-TEST_P(CommRanks, AlltoallvFlatSessionOutOfOrderArrival) {
-  const int P = GetParam();
-  if (P < 2) GTEST_SKIP();
-  // Adversarial staggering: rank r delays its posts by (P-1-r) ms, so blocks
-  // arrive in roughly reverse rank order and early-posting ranks sit in
-  // finish() while late blocks trickle in. Content must be unaffected.
-  run_spmd(P, [&](Comm& c) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(2 * (P - 1 - c.rank())));
-    const std::vector<std::size_t> counts(static_cast<std::size_t>(P), 3);
-    comm::AlltoallvFlatSession<double> session(c, counts);
-    std::vector<double> block(3);
-    for (int step = 0; step < P; ++step) {
-      const int d = (c.rank() + step) % P;
-      for (int i = 0; i < 3; ++i) block[static_cast<std::size_t>(i)] =
-          1000.0 * c.rank() + 10.0 * d + i;
-      session.post_block(d, std::span<const double>(block));
-    }
-    std::vector<std::uint8_t> seen(static_cast<std::size_t>(P), 0);
-    session.finish([&](int src, std::span<const double> b) {
-      ASSERT_EQ(b.size(), 3u);
-      seen[static_cast<std::size_t>(src)] = 1;
-      for (int i = 0; i < 3; ++i)
-        EXPECT_DOUBLE_EQ(b[static_cast<std::size_t>(i)],
-                         1000.0 * src + 10.0 * c.rank() + i);
-    });
-    for (int s = 0; s < P; ++s)
-      EXPECT_TRUE(seen[static_cast<std::size_t>(s)]) << "missing rank " << s;
-  });
-}
-
-TEST_P(CommRanks, BackToBackSessionsDoNotInterfere) {
-  const int P = GetParam();
-  // Two sessions opened in program order on every rank: the per-source FIFO
-  // must keep round-2 blocks out of round-1 sessions even when a fast rank
-  // posts round 2 before a slow rank drains round 1.
-  run_spmd(P, [&](Comm& c) {
-    for (int round = 0; round < 2; ++round) {
-      const std::vector<std::size_t> counts(static_cast<std::size_t>(P), 1);
-      comm::AlltoallvFlatSession<int> session(c, counts);
-      std::vector<int> v(1);
-      for (int d = 0; d < P; ++d) {
-        v[0] = 1000 * round + 10 * c.rank() + d;
-        session.post_block(d, std::span<const int>(v));
-      }
-      session.finish([&](int src, std::span<const int> b) {
-        ASSERT_EQ(b.size(), 1u);
-        EXPECT_EQ(b[0], 1000 * round + 10 * src + c.rank());
-      });
-    }
-  });
-}
-
-TEST(Comm, SessionRejectsDoublePostAndEarlyFinish) {
-  run_spmd(2, [&](Comm& c) {
-    const std::vector<std::size_t> counts(2, 1);
-    comm::AlltoallvFlatSession<int> session(c, counts);
-    const int v = c.rank();
-    auto sink = [](int, std::span<const int>) {};
-    if (c.rank() == 0) {
-      session.post_block(1, std::span<const int>(&v, 1));
-      EXPECT_THROW(session.post_block(1, std::span<const int>(&v, 1)), Error);
-      EXPECT_THROW(session.finish(sink), Error);  // self block not posted
-      session.post_block(0, std::span<const int>(&v, 1));
-    } else {
-      session.post_block(0, std::span<const int>(&v, 1));
-      session.post_block(1, std::span<const int>(&v, 1));
-    }
-    session.finish(sink);
-  });
 }
 
 #ifndef COSMO_OBS_DISABLED

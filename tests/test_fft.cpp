@@ -181,8 +181,8 @@ TEST_P(DistFft, MatchesLocalTransform) {
         for (std::size_t kz = 0; kz < n; ++kz) {
           const Complex got = slab[(kyl * n + kx) * n + kz];
           const Complex want = reference.at(kx, z0 + kyl, kz);
-          ASSERT_NEAR(got.real(), want.real(), 1e-8);
-          ASSERT_NEAR(got.imag(), want.imag(), 1e-8);
+          ASSERT_EQ(got.real(), want.real());
+          ASSERT_EQ(got.imag(), want.imag());
         }
   });
 }
@@ -205,32 +205,42 @@ TEST_P(DistFft, RoundTripRecoversSlab) {
   });
 }
 
-// Runs forward+inverse with the given exchange mode / backend / grains and
-// returns the k-space slab and round-tripped slab for rank `rank`, starting
-// from a deterministic per-rank field. Used to cross-check every variant
-// against the batched Serial reference bit for bit.
+// Runs forward+inverse with the given backend / grains and returns the
+// k-space slab and round-tripped slab of every rank, starting from one
+// deterministic global field.
 struct FftVariantResult {
   std::vector<Complex> kspace;
   std::vector<Complex> roundtrip;
 };
 
-std::vector<FftVariantResult> run_fft_variant(
-    int P, std::size_t n, fft::DistributedFft::ExchangeMode mode,
-    dpp::Backend backend, std::size_t row_grain = 0,
-    std::size_t copy_grain = 0, bool stagger = false) {
+fft::Grid3 random_field(std::size_t n) {
+  Rng rng(7000);
+  fft::Grid3 g(n, n, n);
+  for (auto& v : g.flat()) v = Complex(rng.normal(), rng.normal());
+  return g;
+}
+
+std::vector<FftVariantResult> run_fft_variant(int P, std::size_t n,
+                                              dpp::Backend backend,
+                                              std::size_t row_grain = 0,
+                                              std::size_t copy_grain = 0,
+                                              bool stagger = false) {
+  const fft::Grid3 field = random_field(n);
   std::vector<FftVariantResult> results(static_cast<std::size_t>(P));
   comm::run_spmd(P, [&](comm::Comm& c) {
     if (stagger)  // adversarial: ranks enter the transpose far apart
       std::this_thread::sleep_for(
           std::chrono::milliseconds(3 * (P - 1 - c.rank())));
     fft::DistributedFft dfft(c, n);
-    dfft.set_exchange_mode(mode);
     dfft.set_backend(backend);
     dfft.set_row_grain(row_grain);
     dfft.set_copy_grain(copy_grain);
-    Rng rng(7000 + static_cast<std::uint64_t>(c.rank()));
+    const std::size_t z0 = dfft.slab_start();
     std::vector<Complex> slab(dfft.local_size());
-    for (auto& v : slab) v = Complex(rng.normal(), rng.normal());
+    for (std::size_t zl = 0; zl < dfft.slab_thickness(); ++zl)
+      for (std::size_t y = 0; y < n; ++y)
+        for (std::size_t x = 0; x < n; ++x)
+          slab[(zl * n + y) * n + x] = field.at(x, y, z0 + zl);
     dfft.forward(slab);
     auto& res = results[static_cast<std::size_t>(c.rank())];
     res.kspace = slab;
@@ -240,19 +250,35 @@ std::vector<FftVariantResult> run_fft_variant(
   return results;
 }
 
-void expect_bit_identical(const std::vector<FftVariantResult>& a,
-                          const std::vector<FftVariantResult>& b) {
+// Exact double equality throughout: neither the pool backends nor the
+// transposes may perturb a single bit relative to the serial references.
+
+/// Every rank's transposed k-space slab must equal the matching ky rows of
+/// the serial fft_3d of the same field.
+void expect_kspace_matches_fft3d(const std::vector<FftVariantResult>& got,
+                                 std::size_t n) {
+  fft::Grid3 ref = random_field(n);
+  fft::fft_3d(ref, false);
+  const std::size_t nyl = n / got.size();
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].kspace.size(), nyl * n * n);
+    for (std::size_t kyl = 0; kyl < nyl; ++kyl)
+      for (std::size_t kx = 0; kx < n; ++kx)
+        for (std::size_t kz = 0; kz < n; ++kz) {
+          const Complex g = got[r].kspace[(kyl * n + kx) * n + kz];
+          const Complex w = ref.at(kx, r * nyl + kyl, kz);
+          ASSERT_EQ(g.real(), w.real()) << "rank " << r << " k " << kx << ","
+                                        << r * nyl + kyl << "," << kz;
+          ASSERT_EQ(g.imag(), w.imag()) << "rank " << r << " k " << kx << ","
+                                        << r * nyl + kyl << "," << kz;
+        }
+  }
+}
+
+void expect_roundtrip_identical(const std::vector<FftVariantResult>& a,
+                                const std::vector<FftVariantResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a[r].kspace.size(), b[r].kspace.size());
-    for (std::size_t i = 0; i < a[r].kspace.size(); ++i) {
-      // Exact double equality: the pipelined exchange and the pool backends
-      // must not perturb a single bit of the spectrum.
-      ASSERT_EQ(a[r].kspace[i].real(), b[r].kspace[i].real())
-          << "kspace rank " << r << " index " << i;
-      ASSERT_EQ(a[r].kspace[i].imag(), b[r].kspace[i].imag())
-          << "kspace rank " << r << " index " << i;
-    }
     ASSERT_EQ(a[r].roundtrip.size(), b[r].roundtrip.size());
     for (std::size_t i = 0; i < a[r].roundtrip.size(); ++i) {
       ASSERT_EQ(a[r].roundtrip[i].real(), b[r].roundtrip[i].real())
@@ -263,22 +289,14 @@ void expect_bit_identical(const std::vector<FftVariantResult>& a,
   }
 }
 
-using ExchangeMode = fft::DistributedFft::ExchangeMode;
-
-TEST_P(DistFft, PipelinedMatchesBatchedBitExact) {
+TEST_P(DistFft, BackendsMatchSerialFft3dBitExact) {
   const int P = GetParam();
   const std::size_t n = 16;
-  const auto ref = run_fft_variant(P, n, ExchangeMode::Batched,
-                                   dpp::Backend::Serial);
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::Serial));
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Batched,
-                           dpp::Backend::ThreadPool));
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::ThreadPool));
+  const auto serial = run_fft_variant(P, n, dpp::Backend::Serial);
+  const auto pooled = run_fft_variant(P, n, dpp::Backend::ThreadPool);
+  expect_kspace_matches_fft3d(serial, n);
+  expect_kspace_matches_fft3d(pooled, n);
+  expect_roundtrip_identical(serial, pooled);
 }
 
 TEST_P(DistFft, SmallGrainsStayBitExact) {
@@ -286,37 +304,33 @@ TEST_P(DistFft, SmallGrainsStayBitExact) {
   const std::size_t n = 8;
   // Grain 1 maximizes chunk count (every row / pencil its own scheduler
   // item), stressing out-of-order chunk execution in pack/unpack/rows.
-  const auto ref = run_fft_variant(P, n, ExchangeMode::Batched,
-                                   dpp::Backend::Serial);
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::ThreadPool, /*row_grain=*/1,
-                           /*copy_grain=*/1));
+  const auto small = run_fft_variant(P, n, dpp::Backend::ThreadPool,
+                                     /*row_grain=*/1, /*copy_grain=*/1);
+  expect_kspace_matches_fft3d(small, n);
+  expect_roundtrip_identical(run_fft_variant(P, n, dpp::Backend::Serial),
+                             small);
 }
 
-TEST_P(DistFft, PipelinedOutOfOrderArrivalBitExact) {
+TEST_P(DistFft, StaggeredRanksStayBitExact) {
   const int P = GetParam();
   if (P < 2) GTEST_SKIP();
   const std::size_t n = 8;
   // Rank staggering reverses block arrival order relative to rank order;
   // the unpacks are source-addressed, so the result must not move.
-  const auto ref = run_fft_variant(P, n, ExchangeMode::Batched,
-                                   dpp::Backend::Serial);
-  expect_bit_identical(
-      ref, run_fft_variant(P, n, ExchangeMode::Pipelined,
-                           dpp::Backend::ThreadPool, 0, 0, /*stagger=*/true));
+  const auto staggered = run_fft_variant(P, n, dpp::Backend::ThreadPool, 0,
+                                         0, /*stagger=*/true);
+  expect_kspace_matches_fft3d(staggered, n);
+  expect_roundtrip_identical(run_fft_variant(P, n, dpp::Backend::Serial),
+                             staggered);
 }
 
 TEST(DistFftConfig, DefaultsAndSetters) {
   comm::run_spmd(1, [&](comm::Comm& c) {
     fft::DistributedFft dfft(c, 8);
-    EXPECT_EQ(dfft.exchange_mode(), ExchangeMode::Pipelined);
     EXPECT_EQ(dfft.backend(), dpp::Backend::Serial);
-    dfft.set_exchange_mode(ExchangeMode::Batched);
     dfft.set_backend(dpp::Backend::ThreadPool);
     dfft.set_row_grain(4);
     dfft.set_copy_grain(2);
-    EXPECT_EQ(dfft.exchange_mode(), ExchangeMode::Batched);
     EXPECT_EQ(dfft.backend(), dpp::Backend::ThreadPool);
     EXPECT_EQ(dfft.row_grain(), 4u);
     EXPECT_EQ(dfft.copy_grain(), 2u);

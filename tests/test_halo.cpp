@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -536,6 +537,34 @@ TEST(Subhalo, DensityPeaksAtBlobCenter) {
   EXPECT_LT(d, 0.3);
   // Densities are positive.
   for (double r : rho) EXPECT_GT(r, 0.0);
+}
+
+TEST(Subhalo, DensitiesInvariantAcrossPeriodicBoundary) {
+  // FOF members keep wrapped coordinates, so a halo on the box corner
+  // arrives split across all eight corners. Its densities must match the
+  // same cloud centred mid-box: the neighbour search has to honour cfg.box.
+  const float box = 32.0f;
+  Rng rng(53);
+  ParticleSet mid, corner;
+  for (int i = 0; i < 800; ++i) {
+    const double dx = rng.normal(0, 1.0), dy = rng.normal(0, 1.0),
+                 dz = rng.normal(0, 1.0);
+    mid.push_back(static_cast<float>(16 + dx), static_cast<float>(16 + dy),
+                  static_cast<float>(16 + dz), 0, 0, 0, i);
+    corner.push_back(static_cast<float>(dx), static_cast<float>(dy),
+                     static_cast<float>(dz), 0, 0, 0, i);
+  }
+  corner.wrap_positions(box);
+  std::vector<std::uint32_t> members(mid.size());
+  std::iota(members.begin(), members.end(), 0u);
+  SubhaloConfig cfg;
+  cfg.box = box;
+  const auto rho_mid = local_densities(mid, members, cfg);
+  const auto rho_corner = local_densities(corner, members, cfg);
+  ASSERT_EQ(rho_mid.size(), rho_corner.size());
+  for (std::size_t i = 0; i < rho_mid.size(); ++i)
+    ASSERT_NEAR(rho_corner[i], rho_mid[i], 1e-4 * rho_mid[i])
+        << "particle " << i;
 }
 
 TEST(Subhalo, FindsPlantedSubclump) {
