@@ -329,6 +329,7 @@ class SubhaloAlgorithm : public CadencedAlgorithm {
                   "subhalos require the halofinder to run first");
     COSMO_TRACE_SPAN_CAT("halo.properties", "halo");
     cfg_.box = ctx.box;
+    cfg_.backend = ctx.backend;
     const auto& particles = ctx.fof->particles;
     dpp::for_each_index(
         ctx.backend, ctx.catalog.size(),

@@ -277,6 +277,7 @@ inline stats::HaloCatalog analyze_level2(
   scfg.box = p.universe.box;
   halo::SubhaloConfig sub_cfg;
   sub_cfg.box = p.universe.box;
+  sub_cfg.backend = backend;
 
   WallTimer timer;
   const auto& my_halos = assignment[static_cast<std::size_t>(c.rank())];

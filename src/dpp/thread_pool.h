@@ -293,7 +293,7 @@ class ThreadPool {
   }
 
   /// Claims and runs chunks of `group` until its cursor is exhausted.
-  void run_chunks(TaskGroup& group, bool helping) {
+  void run_chunks(TaskGroup& group, [[maybe_unused]] bool helping) {
     for (;;) {
       const std::size_t c =
           group.cursor.fetch_add(1, std::memory_order_relaxed);

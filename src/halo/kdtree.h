@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
-#include <queue>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -139,29 +138,41 @@ class KdTree {
     return dx * dx + dy * dy + dz * dz;
   }
 
+  /// (dist2, index) entry of the k-NN max-heap.
+  using KnnEntry = std::pair<double, std::uint32_t>;
+
   /// Indices of the k nearest neighbors of (qx,qy,qz) (possibly including a
   /// particle at the query point itself), nearest first.
   std::vector<std::uint32_t> k_nearest(double qx, double qy, double qz,
                                        std::size_t k) const {
-    // Max-heap of (dist2, index) keeps the k best seen so far.
-    using Entry = std::pair<double, std::uint32_t>;
-    std::priority_queue<Entry> heap;
-    if (root_ >= 0) knn_recurse(root_, qx, qy, qz, k, heap);
-    std::vector<std::uint32_t> out(heap.size());
-    for (std::size_t i = out.size(); i-- > 0;) {
-      out[i] = heap.top().second;
-      heap.pop();
-    }
+    std::vector<KnnEntry> heap;
+    std::vector<std::uint32_t> out;
+    k_nearest(qx, qy, qz, k, heap, out);
     return out;
+  }
+
+  /// k_nearest into `out`, with `heap` as working storage. Both keep their
+  /// capacity, so a loop that reuses them stops allocating after the first
+  /// query.
+  void k_nearest(double qx, double qy, double qz, std::size_t k,
+                 std::vector<KnnEntry>& heap,
+                 std::vector<std::uint32_t>& out) const {
+    heap.clear();
+    if (root_ >= 0 && k > 0) knn_recurse(root_, qx, qy, qz, k, heap);
+    out.resize(heap.size());
+    for (std::size_t i = out.size(); i-- > 0;) {
+      out[i] = heap.front().second;
+      std::pop_heap(heap.begin(), heap.end());
+      heap.pop_back();
+    }
   }
 
   /// Distance to the k-th nearest neighbor (used by SPH density kernels).
   double k_nearest_dist(double qx, double qy, double qz, std::size_t k) const {
-    using Entry = std::pair<double, std::uint32_t>;
-    std::priority_queue<Entry> heap;
-    if (root_ >= 0) knn_recurse(root_, qx, qy, qz, k, heap);
+    std::vector<KnnEntry> heap;
+    if (root_ >= 0 && k > 0) knn_recurse(root_, qx, qy, qz, k, heap);
     COSMO_REQUIRE(!heap.empty(), "k_nearest_dist on empty tree");
-    return std::sqrt(heap.top().first);
+    return std::sqrt(heap.front().first);
   }
 
  private:
@@ -317,23 +328,25 @@ class KdTree {
     traverse_recurse(n.right, qx, qy, qz, visit, leaf_fn);
   }
 
-  template <typename Heap>
+  /// Max-heap (std::push_heap/pop_heap on `heap`) keeps the k best seen.
   void knn_recurse(std::int32_t id, double qx, double qy, double qz,
-                   std::size_t k, Heap& heap) const {
+                   std::size_t k, std::vector<KnnEntry>& heap) const {
     const Node& n = node(id);
     double dmin2, dmax2;
     box_dist2(n, qx, qy, qz, dmin2, dmax2);
-    if (heap.size() == k && dmin2 > heap.top().first) return;
+    if (heap.size() == k && dmin2 > heap.front().first) return;
     if (n.leaf()) {
       for (std::uint32_t i = n.begin; i < n.end; ++i) {
         const std::uint32_t pi = index_[i];
         const double d2 =
             point_dist2(qx, qy, qz, p_->x[pi], p_->y[pi], p_->z[pi]);
         if (heap.size() < k) {
-          heap.emplace(d2, pi);
-        } else if (d2 < heap.top().first) {
-          heap.pop();
-          heap.emplace(d2, pi);
+          heap.emplace_back(d2, pi);
+          std::push_heap(heap.begin(), heap.end());
+        } else if (d2 < heap.front().first) {
+          std::pop_heap(heap.begin(), heap.end());
+          heap.back() = {d2, pi};
+          std::push_heap(heap.begin(), heap.end());
         }
       }
       return;

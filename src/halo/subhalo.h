@@ -11,9 +11,13 @@
 // pruned by a multi-pass unbinding that removes at most one quarter of
 // the positive-energy particles per pass.
 //
-// Deliberately CPU-only and tree-based (the paper notes the subhalo finder
-// "does not take advantage of GPUs"), which is what makes it a second
-// load-imbalance driver for the workflow comparison.
+// CPU-only and tree-based (the paper notes the subhalo finder "does not
+// take advantage of GPUs"), so the biggest hosts stay a source of load
+// imbalance in the workflow comparison. Within one host the neighbor work
+// runs on the dpp backend: one k-d tree over the members serves both the
+// density pass and the sweep, and the sweep's k-NN rows are filled a
+// block at a time on the pool ahead of the serial candidate merge. The
+// output is bit-identical on both backends and at every grain.
 #pragma once
 
 #include <algorithm>
@@ -39,10 +43,11 @@ struct SubhaloConfig {
   std::size_t unbind_passes = 8;    ///< max unbinding iterations
   double velocity_scale = 1.0;      ///< converts stored velocities to the
                                     ///< potential's energy units
-  /// Execution backend for the per-member density estimates (tree queries
-  /// are read-only, so members evaluate independently). ThreadPool shares
-  /// the work-stealing pool with co-scheduled ranks; Serial reproduces the
-  /// paper's CPU-only finder exactly as before.
+  /// Execution backend for the tree build and the per-member neighbor
+  /// queries (read-only, so members evaluate independently). ThreadPool
+  /// shares the work-stealing pool with co-scheduled ranks; the candidate
+  /// merge and the unbinding stay serial, so both backends give the same
+  /// subhalos bit for bit.
   dpp::Backend backend = dpp::Backend::Serial;
   /// Members per scheduler chunk on the ThreadPool backend. Neighbor-query
   /// cost varies with local clustering, so a modest grain lets stealing
@@ -69,41 +74,70 @@ inline double sph_kernel(double r, double h) {
   return 0.0;
 }
 
-}  // namespace detail
+/// Sweep members whose neighbor rows are filled per pool dispatch: with
+/// k = 21 one block is 1024 × 21 uint32 (≈86 KiB), reused for every block,
+/// so the sweep never holds all n rows at once.
+inline constexpr std::size_t kSweepBlock = 1024;
 
-/// SPH local density for each member: kernel-weighted mass of the k nearest
-/// neighbors, with the smoothing length set to the k-th neighbor distance
-/// (the estimator the paper describes: "total mass of these particles and
-/// the distance to the furthest of these").
-inline std::vector<double> local_densities(const sim::ParticleSet& p,
-                                           std::span<const std::uint32_t> members,
-                                           const SubhaloConfig& cfg) {
-  const std::size_t k =
-      std::min(cfg.num_neighbors + 1, members.size());  // +1: self
+/// Neighbors per query, self included; the density pass and the sweep use
+/// the same k, so on one tree they see the same list in the same order.
+inline std::size_t neighbor_count(const SubhaloConfig& cfg, std::size_t n) {
+  return std::min(cfg.num_neighbors + 1, n);
+}
+
+/// k-d tree over the members, periodic in all three axes when cfg.box > 0.
+inline KdTree member_tree(const sim::ParticleSet& p,
+                          std::span<const std::uint32_t> members,
+                          const SubhaloConfig& cfg) {
+  const Periodicity per =
+      cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
+  return KdTree(p, std::vector<std::uint32_t>(members.begin(), members.end()),
+                per, /*leaf_size=*/8, cfg.backend);
+}
+
+/// SPH local density for each member from `tree`: kernel-weighted mass of
+/// the k nearest neighbors, with the smoothing length set to the k-th
+/// neighbor distance (the estimator the paper describes: "total mass of
+/// these particles and the distance to the furthest of these").
+inline std::vector<double> densities(const KdTree& tree,
+                                     const sim::ParticleSet& p,
+                                     std::span<const std::uint32_t> members,
+                                     const SubhaloConfig& cfg) {
+  const std::size_t k = neighbor_count(cfg, members.size());
   std::vector<double> rho(members.size(), 0.0);
-
-  Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
-  KdTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()),
-              per);
   auto dist = [&](std::uint32_t a, std::uint32_t j) {
     return std::sqrt(
         tree.point_dist2(p.x[a], p.y[a], p.z[a], p.x[j], p.y[j], p.z[j]));
   };
-  dpp::for_each_index(
+  dpp::for_each_chunk(
       cfg.backend, members.size(),
-      [&](std::size_t m) {
-        const std::uint32_t i = members[m];
-        const auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], k);
-        double h = 0.0;
-        for (const auto j : nbrs) h = std::max(h, dist(i, j));
-        if (h <= 0.0) h = 1e-10;
-        double d = 0.0;
-        for (const auto j : nbrs)
-          d += cfg.particle_mass * detail::sph_kernel(dist(i, j), h);
-        rho[m] = d;
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<KdTree::KnnEntry> heap;
+        std::vector<std::uint32_t> nbrs;
+        for (std::size_t m = lo; m < hi; ++m) {
+          const std::uint32_t i = members[m];
+          tree.k_nearest(p.x[i], p.y[i], p.z[i], k, heap, nbrs);
+          double h = 0.0;
+          for (const auto j : nbrs) h = std::max(h, dist(i, j));
+          if (h <= 0.0) h = 1e-10;
+          double d = 0.0;
+          for (const auto j : nbrs)
+            d += cfg.particle_mass * sph_kernel(dist(i, j), h);
+          rho[m] = d;
+        }
       },
       cfg.density_grain);
   return rho;
+}
+
+}  // namespace detail
+
+/// SPH local density for each member (see detail::densities).
+inline std::vector<double> local_densities(const sim::ParticleSet& p,
+                                           std::span<const std::uint32_t> members,
+                                           const SubhaloConfig& cfg) {
+  return detail::densities(detail::member_tree(p, members, cfg), p, members,
+                           cfg);
 }
 
 inline void unbind(const sim::ParticleSet& p, Subhalo& s,
@@ -117,7 +151,8 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
   std::vector<Subhalo> out;
   if (n < cfg.min_size) return out;
 
-  const std::vector<double> rho = local_densities(p, members, cfg);
+  const KdTree tree = detail::member_tree(p, members, cfg);
+  const std::vector<double> rho = detail::densities(tree, p, members, cfg);
 
   // Sweep in decreasing density; link each particle to denser neighbors.
   std::vector<std::uint32_t> order(n);
@@ -126,9 +161,6 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
     return rho[a] != rho[b] ? rho[a] > rho[b] : a < b;
   });
 
-  Periodicity per = cfg.box > 0.0 ? Periodicity::all(cfg.box) : Periodicity{};
-  KdTree tree(p, std::vector<std::uint32_t>(members.begin(), members.end()),
-              per);
   // Map particle-set index -> member slot.
   std::vector<std::uint32_t> slot_of(p.size(), 0);
   for (std::size_t m = 0; m < n; ++m) slot_of[members[m]] = static_cast<std::uint32_t>(m);
@@ -142,12 +174,33 @@ inline std::vector<Subhalo> find_subhalos(const sim::ParticleSet& p,
   };
   std::vector<Candidate> cands;
 
-  const std::size_t k_link = std::min<std::size_t>(cfg.num_neighbors, n);
-  for (const auto m : order) {
-    const std::uint32_t i = members[m];
+  // The neighbor rows are read-only tree queries, so each block of the
+  // sweep order fills its rows on the pool before the serial merge below
+  // consumes them in order.
+  const std::size_t k = detail::neighbor_count(cfg, n);
+  std::vector<std::uint32_t> rows(std::min(n, detail::kSweepBlock) * k);
+  auto fill_rows = [&](std::size_t b0) {
+    dpp::for_each_chunk(
+        cfg.backend, std::min(detail::kSweepBlock, n - b0),
+        [&](std::size_t lo, std::size_t hi) {
+          std::vector<KdTree::KnnEntry> heap;
+          std::vector<std::uint32_t> nbrs;
+          for (std::size_t r = lo; r < hi; ++r) {
+            const std::uint32_t i = members[order[b0 + r]];
+            tree.k_nearest(p.x[i], p.y[i], p.z[i], k, heap, nbrs);
+            std::copy(nbrs.begin(), nbrs.end(),
+                      rows.begin() + static_cast<std::ptrdiff_t>(r * k));
+          }
+        },
+        cfg.density_grain);
+  };
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const std::size_t r = pos % detail::kSweepBlock;
+    if (r == 0) fill_rows(pos);
+    const std::uint32_t m = order[pos];
     // Among this particle's nearest neighbors, collect candidates of those
     // already swept AND denser.
-    auto nbrs = tree.k_nearest(p.x[i], p.y[i], p.z[i], k_link + 1);
+    const std::span<const std::uint32_t> nbrs(rows.data() + r * k, k);
     std::int32_t c1 = -1, c2 = -1;
     for (const auto j : nbrs) {
       const std::uint32_t mj = slot_of[j];

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -18,6 +19,7 @@
 #include "halo/subhalo.h"
 #include "sim/cosmology.h"
 #include "sim/synthetic.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace {
@@ -94,11 +96,17 @@ TEST(KdTree, KNearestMatchesBruteForce) {
   ParticleSet p = random_particles(300, box, 7);
   KdTree tree = KdTree::over_all(p);
   Rng rng(8);
+  // Buffers reused across queries by the allocation-free overload.
+  std::vector<KdTree::KnnEntry> heap;
+  std::vector<std::uint32_t> reused;
   for (int q = 0; q < 10; ++q) {
     const double qx = rng.uniform(0, box), qy = rng.uniform(0, box),
                  qz = rng.uniform(0, box);
     auto knn = tree.k_nearest(qx, qy, qz, 7);
     ASSERT_EQ(knn.size(), 7u);
+    tree.k_nearest(qx, qy, qz, 7, heap, reused);
+    EXPECT_EQ(reused, knn);
+    EXPECT_TRUE(tree.k_nearest(qx, qy, qz, 0).empty());
     // Brute-force distances.
     std::vector<std::pair<double, std::uint32_t>> all;
     for (std::uint32_t i = 0; i < p.size(); ++i) {
@@ -654,6 +662,88 @@ TEST(Subhalo, SyntheticUniverseSubclumpsAreFound) {
     auto subs = find_subhalos(u.local, members, cfg);
     EXPECT_GE(subs.size(), 1u) << "planted substructure not recovered";
   });
+}
+
+/// CRC over every subhalo's member list and peak_density bits, in output
+/// order, so any change to membership, order or density fails the pin.
+std::uint32_t subhalo_crc(const std::vector<Subhalo>& subs) {
+  std::uint32_t crc = 0;
+  for (const auto& s : subs) {
+    const std::uint64_t n = s.members.size();
+    crc = crc32(&n, sizeof n, crc);
+    crc = crc32(s.members.data(), s.members.size() * sizeof(std::uint32_t),
+                crc);
+    std::uint64_t bits;
+    std::memcpy(&bits, &s.peak_density, sizeof bits);
+    crc = crc32(&bits, sizeof bits, crc);
+  }
+  return crc;
+}
+
+TEST(Subhalo, GoldenOutputPinned) {
+  // Pins find_subhalos' exact output (members in order, peak_density bits)
+  // on the synthetic subclump universe and on a cloud split across the
+  // periodic box corner, with and without kinetic energy in the unbinding.
+  // Any reimplementation of the density pass or the sweep must keep these.
+  struct Case {
+    const char* name;
+    double velocity_scale;
+    std::size_t subhalos;
+    std::uint32_t crc;
+  };
+  // Synthetic universe: one 8000-particle host with planted subclumps.
+  SyntheticConfig scfg;
+  scfg.halo_count = 1;
+  scfg.min_particles = 8000;
+  scfg.max_particles = 8000;
+  scfg.background_particles = 0;
+  scfg.subclump_fraction = 0.2;
+  scfg.subclump_min_host = 5000;
+  ParticleSet universe;
+  comm::run_spmd(1, [&](comm::Comm& c) {
+    sim::Cosmology cosmo;
+    universe = generate_synthetic(c, cosmo, scfg).local;
+  });
+  // Corner cloud: the DensitiesInvariantAcrossPeriodicBoundary cloud, with
+  // random velocities so the unbinding sees kinetic energy at scale 1.
+  const float box = 32.0f;
+  ParticleSet corner;
+  {
+    Rng rng(53), vrng(530);
+    for (int i = 0; i < 800; ++i) {
+      const double dx = rng.normal(0, 1.0), dy = rng.normal(0, 1.0),
+                   dz = rng.normal(0, 1.0);
+      corner.push_back(static_cast<float>(dx), static_cast<float>(dy),
+                       static_cast<float>(dz),
+                       static_cast<float>(vrng.normal(0, 3.0)),
+                       static_cast<float>(vrng.normal(0, 3.0)),
+                       static_cast<float>(vrng.normal(0, 3.0)), i);
+    }
+    corner.wrap_positions(box);
+  }
+
+  const Case universe_cases[] = {{"universe v0", 0.0, 1, 0x0750bdabu},
+                                 {"universe v1", 1.0, 1, 0x0750bdabu},
+                                 {"universe v10", 10.0, 1, 0x6ada9443u}};
+  const Case corner_cases[] = {{"corner v0", 0.0, 2, 0x7ffaa9c3u},
+                               {"corner v1", 1.0, 2, 0x7ffaa9c3u}};
+  auto check = [](const ParticleSet& p, double box_size, std::size_t min_size,
+                  const Case& c) {
+    std::vector<std::uint32_t> members(p.size());
+    std::iota(members.begin(), members.end(), 0u);
+    SubhaloConfig cfg;
+    cfg.min_size = min_size;
+    cfg.box = box_size;
+    cfg.velocity_scale = c.velocity_scale;
+    for (const auto b : {dpp::Backend::Serial, dpp::Backend::ThreadPool}) {
+      cfg.backend = b;
+      const auto subs = find_subhalos(p, members, cfg);
+      EXPECT_EQ(subs.size(), c.subhalos) << c.name << " " << dpp::to_string(b);
+      EXPECT_EQ(subhalo_crc(subs), c.crc) << c.name << " " << dpp::to_string(b);
+    }
+  };
+  for (const auto& c : universe_cases) check(universe, scfg.box, 30, c);
+  for (const auto& c : corner_cases) check(corner, box, 20, c);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Backend bit-identity tests for the parallel halo-analysis chain: FOF
 // linking blocks, the parallel k-d tree build, the per-halo property
-// fan-out in the core pipeline, and the property kernels themselves.
+// fan-out in the core pipeline, the property kernels and the subhalo
+// finder.
 // Everything here asserts EXACT equality between Serial and ThreadPool —
 // the dpp contract — not tolerance-based agreement.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "halo/fof.h"
 #include "halo/kdtree.h"
 #include "halo/so_mass.h"
+#include "halo/subhalo.h"
 #include "sim/cosmology.h"
 #include "sim/synthetic.h"
 #include "stats/catalog.h"
@@ -262,15 +264,21 @@ TEST(ParallelKdTree, QueriesMatchSerialTree) {
 
 // ------------------------------------------------------- per-halo fan-out --
 
+/// Runs the full halo pipeline on one synthetic step and returns each rank's
+/// catalog bytes. With `subhalos`, the universe plants subclumps in halos
+/// of 150+ particles and SubhaloAlgorithm runs on FOF hosts above 100
+/// members (FOF at this linking length keeps only the cores, ≤ ~330).
 std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P,
-                                                 const std::string& extra = {}) {
+                                                 const std::string& extra = {},
+                                                 bool subhalos = false) {
   sim::SyntheticConfig ucfg;
   ucfg.box = 32.0;
   ucfg.halo_count = 12;
   ucfg.min_particles = 60;
   ucfg.max_particles = 1200;
   ucfg.background_particles = 500;
-  ucfg.subclump_fraction = 0.0;
+  ucfg.subclump_fraction = subhalos ? 0.2 : 0.0;
+  ucfg.subclump_min_host = 150;
   ucfg.seed = 31;
   std::vector<std::vector<std::byte>> per_rank(static_cast<std::size_t>(P));
   comm::run_spmd(P, [&](comm::Comm& c) {
@@ -280,8 +288,10 @@ std::vector<std::vector<std::byte>> run_pipeline(dpp::Backend backend, int P,
     core::InSituAnalysisManager manager(c, decomp, ucfg.box,
                                         u.total_particles, backend);
     core::register_full_halo_pipeline(manager);
+    if (subhalos) manager.add(std::make_unique<core::SubhaloAlgorithm>());
     manager.configure(core::CosmoToolsConfig::parse(
-        "[halofinder]\nlinking_length 0.3\nmin_size 40\noverload 2.0\n" +
+        "[halofinder]\nlinking_length 0.3\nmin_size 40\noverload 2.0\n"
+        "[subhalos]\nmin_host 100\nmin_size 20\n" +
         extra));
     sim::StepContext step{1, 1, 1.0, 0.0};
     auto ctx = manager.execute_step(step, u.local);
@@ -312,6 +322,22 @@ TEST(PerHaloFanout, ThresholdDeferralBitIdenticalSerialVsThreadPool) {
             run_pipeline(dpp::Backend::Serial, 1).front().size())
       << "no halo was deferred";
   EXPECT_EQ(serial, pooled);
+}
+
+TEST(PerHaloFanout, SubhaloCatalogBitIdenticalSerialVsThreadPool) {
+  // SubhaloAlgorithm dispatches per host and, inside each host, the tree
+  // build and neighbor queries on ctx.backend (nested on the pool).
+  for (const int P : {1, 2}) {
+    SCOPED_TRACE("P=" + std::to_string(P));
+    const auto serial = run_pipeline(dpp::Backend::Serial, P, {}, true);
+    const auto pooled = run_pipeline(dpp::Backend::ThreadPool, P, {}, true);
+    EXPECT_EQ(serial, pooled);
+    std::uint32_t found = 0;
+    for (const auto& r : serial)
+      for (const auto& rec : stats::catalog_from_bytes(r))
+        found += rec.subhalos;
+    EXPECT_GT(found, 0u) << "no host produced a subhalo";
+  }
 }
 
 // ------------------------------------------------------- property kernels --
@@ -360,6 +386,66 @@ TEST(ParallelProperties, KernelsBitIdenticalAcrossBackends) {
     const auto fb = stats::concentration_profile_fit(
         p, members, 8.0, 8.0, 8.0, box, 16, dpp::Backend::ThreadPool, grain);
     EXPECT_EQ(fa.c, fb.c) << "grain " << grain;
+  }
+}
+
+TEST(ParallelSubhalos, FinderBitIdenticalAcrossGrainsAndBackends) {
+  // Hosts: 2600 members with planted clumps, split across the periodic box
+  // corner (parallel tree build at >= 2048 members; 2600 is not a multiple
+  // of the 1024-member sweep block), and 18 members with num_neighbors 20
+  // (k clamps to n).
+  const float box = 16.0f;
+  Rng rng(71);
+  ParticleSet big;
+  auto blob = [&](ParticleSet& p, std::size_t n, double c, double sigma) {
+    for (std::size_t i = 0; i < n; ++i)
+      p.push_back(static_cast<float>(rng.normal(c, sigma)),
+                  static_cast<float>(rng.normal(c, sigma)),
+                  static_cast<float>(rng.normal(c + 0.3, sigma)),
+                  static_cast<float>(rng.normal(0, 0.5)),
+                  static_cast<float>(rng.normal(0, 0.5)),
+                  static_cast<float>(rng.normal(0, 0.5)),
+                  static_cast<std::int64_t>(p.size()));
+  };
+  blob(big, 2000, 0.0, 0.8);
+  blob(big, 300, 0.9, 0.06);
+  blob(big, 300, -0.8, 0.05);
+  big.wrap_positions(box);
+  ParticleSet tiny;
+  blob(tiny, 18, 8.0, 0.1);
+
+  struct Host {
+    const ParticleSet* p;
+    std::size_t min_size;
+    bool expect_subhalos;
+  };
+  for (const Host& host : {Host{&big, 20, true}, Host{&tiny, 5, false}}) {
+    const ParticleSet& p = *host.p;
+    std::vector<std::uint32_t> members(p.size());
+    std::iota(members.begin(), members.end(), 0u);
+    SubhaloConfig cfg;
+    cfg.box = box;
+    cfg.min_size = host.min_size;
+    const auto rho_ref = local_densities(p, members, cfg);
+    const auto ref = find_subhalos(p, members, cfg);
+    if (host.expect_subhalos) {
+      ASSERT_GE(ref.size(), 2u);
+    }
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{7}, std::size_t{64}}) {
+      SCOPED_TRACE("n=" + std::to_string(p.size()) +
+                   " grain=" + std::to_string(grain));
+      SubhaloConfig pooled = cfg;
+      pooled.backend = dpp::Backend::ThreadPool;
+      pooled.density_grain = grain;
+      EXPECT_EQ(local_densities(p, members, pooled), rho_ref);
+      const auto got = find_subhalos(p, members, pooled);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t s = 0; s < ref.size(); ++s) {
+        EXPECT_EQ(got[s].members, ref[s].members) << "subhalo " << s;
+        EXPECT_EQ(got[s].peak_density, ref[s].peak_density) << "subhalo " << s;
+      }
+    }
   }
 }
 

@@ -115,8 +115,9 @@ TEST_F(Obs, TimedSpanLedgerMatchesTrace) {
   const auto found = spans_named("unit.timed");
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].cat, "testcat");
-  if (found[0].seconds() > 0.0)
+  if (found[0].seconds() > 0.0) {
     EXPECT_DOUBLE_EQ(found[0].seconds(), ledger);
+  }
 }
 
 TEST_F(Obs, RingOverflowDropsOldestAndCounts) {

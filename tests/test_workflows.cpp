@@ -237,8 +237,9 @@ TEST_F(WorkflowEnd2End, LedgerConsistentWithTracerForAllVariants) {
     for (const auto& row : rows) {
       const auto [derived, count] = from_trace(row.phase);
       SCOPED_TRACE(row.phase);
-      if (row.ledger > 0.0)
+      if (row.ledger > 0.0) {
         EXPECT_GT(count, 0u) << "ledger has time but trace has no span";
+      }
       EXPECT_NEAR(derived, row.ledger, kTol);
       trace_total += derived;
       ledger_total += row.ledger;
