@@ -173,7 +173,7 @@ void BM_DispatchGrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(kN));
 }
 BENCHMARK(BM_DispatchGrain)
-    ->Arg(0)  // auto (~4 chunks per worker)
+    ->Arg(0)  // auto (32 chunks per worker)
     ->Arg(16)
     ->Arg(256)
     ->Arg(4096)

@@ -5,9 +5,12 @@
 // nodes took 8172 s on the slowest node vs 1457 s on the fastest — an
 // imbalance above 5×, making it the second off-load candidate. We measure
 // the same per-rank spread on a synthetic population with a comparable
-// host-size tail.
+// host-size tail. The ratio is taken over the ranks that hold at least one
+// host: a rank with none spends ~0 s on subhalos, and dividing by that says
+// nothing. Exits 1 when fewer than two ranks hold a host (ratio undefined).
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -35,20 +38,31 @@ int main(int argc, char** argv) {
 
   // Per-rank pipeline breakdown from the manager's timing ledger (SO mass
   // is disabled, so the "other" column is pure subhalo finding).
-  TextTable t({"rank", "find (s)", "center (s)", "subhalos (s)"});
-  for (std::size_t rank = 0; rank < r.times.find_per_rank.size(); ++rank)
-    t.add_row({std::to_string(rank),
+  TextTable t({"rank", "hosts", "find (s)", "center (s)", "subhalos (s)"});
+  std::vector<double> host_times;
+  for (std::size_t rank = 0; rank < r.times.find_per_rank.size(); ++rank) {
+    const std::uint64_t hosts = r.times.subhalo_hosts_per_rank[rank];
+    if (hosts > 0) host_times.push_back(r.times.other_per_rank[rank]);
+    t.add_row({std::to_string(rank), std::to_string(hosts),
                TextTable::num(r.times.find_per_rank[rank], 3),
                TextTable::num(r.times.center_per_rank[rank], 3),
                TextTable::num(r.times.other_per_rank[rank], 3)});
+  }
   t.print(std::cout);
 
-  const double smax = *std::max_element(r.times.other_per_rank.begin(),
-                                        r.times.other_per_rank.end());
-  const double smin = *std::min_element(r.times.other_per_rank.begin(),
-                                        r.times.other_per_rank.end());
-  std::printf("\nsubhalo time slowest/fastest rank: %.3f / %.3f s "
-              "(imbalance %.1fx)\n", smax, smin, smax / std::max(smin, 1e-6));
+  const std::size_t no_host = r.times.other_per_rank.size() - host_times.size();
+  if (host_times.size() < 2) {
+    std::fprintf(stderr,
+                 "\nonly %zu rank(s) hold a host above %zu particles: the "
+                 "slowest/fastest ratio is undefined\n",
+                 host_times.size(), p.subhalo_min_host);
+    return 1;
+  }
+  const auto [smin, smax] =
+      std::minmax_element(host_times.begin(), host_times.end());
+  std::printf("\nsubhalo time slowest/fastest host-holding rank: %.3f / "
+              "%.3f s (imbalance %.2fx); ranks with no host: %zu\n",
+              *smax, *smin, *smax / *smin, no_host);
 
   std::uint32_t subhalos = 0;
   for (const auto& rec : r.catalog) subhalos += rec.subhalos;

@@ -115,6 +115,9 @@ struct PhaseTimes {
   // subhalos) — with SO disabled it is the per-rank subhalo time.
   std::vector<double> find_per_rank, center_per_rank, other_per_rank;
   std::vector<double> post_center_per_rank;
+  // In-situ subhalo hosts (halos above subhalo_min_host) per rank; all 0
+  // when subhalos are off. A rank with none has no subhalo time to compare.
+  std::vector<std::uint64_t> subhalo_hosts_per_rank;
 
   double sim_total() const { return sim + analysis + write; }
   double post_total() const {
@@ -411,6 +414,10 @@ void simulation_job(const WorkflowProblem& p, WorkflowKind kind,
     auto find_all = c.allgather_value(out.find_s);
     auto center_all = c.allgather_value(out.center_s);
     auto other_all = c.allgather_value(out.other_s);
+    std::uint64_t hosts = 0;
+    for (const auto& rec : out.catalog_part)
+      hosts += p.compute_subhalos && rec.count > p.subhalo_min_host;
+    auto hosts_all = c.allgather_value(hosts);
     const double sim_max = phase_max(c, sim_s);
     const double analysis_max = phase_max(c, analysis_s);
     const double write_max = phase_max(c, write_s);
@@ -428,6 +435,7 @@ void simulation_job(const WorkflowProblem& p, WorkflowKind kind,
       r.times.find_per_rank = find_all;
       r.times.center_per_rank = center_all;
       r.times.other_per_rank = other_all;
+      r.times.subhalo_hosts_per_rank = hosts_all;
       r.catalog = std::move(catalog);  // in-situ part; post job may extend
       r.deferred_halos = deferred_total;
       r.level2_bytes = level2_total;

@@ -11,9 +11,9 @@
 //   * Every parallel_for creates a TaskGroup: the iteration space [0, n)
 //     cut into fixed-size chunks (`grain` items each), claimed dynamically
 //     through one atomic cursor. Dynamic chunking means a load-imbalanced
-//     kernel (subhalo finding, BH-tree sums, the one monster halo in the
-//     center finder) no longer pays the static one-chunk-per-worker split:
-//     fast workers just claim more chunks.
+//     kernel (subhalo finding, the one monster halo in the center finder)
+//     no longer pays the static one-chunk-per-worker split: fast workers
+//     just claim more chunks.
 //   * Groups are pushed onto per-worker deques. A worker prefers its own
 //     deque and STEALS from siblings when empty ("dpp.steals"), so any
 //     number of concurrent parallel_for calls — different SPMD ranks, or
@@ -94,21 +94,8 @@ class ThreadPool {
   /// True when called from one of this process's pool worker threads.
   static bool in_worker() { return tls_worker_id() >= 0; }
 
-  /// Steal-aware auto-grain feedback (see auto_grain): number of times the
-  /// effective auto grain has been halved. 0 = the static default.
-  int grain_shift() const { return grain_shift_.load(std::memory_order_relaxed); }
-
-  /// Resets the auto-grain feedback loop to the static default. For tests
-  /// and benches that need a reproducible starting point on the shared pool.
-  void reset_autotune() {
-    grain_shift_.store(0, std::memory_order_relaxed);
-    window_chunks_.store(0, std::memory_order_relaxed);
-    window_steals_.store(0, std::memory_order_relaxed);
-    COSMO_GAUGE_SET("dpp.grain_shift", 0);
-  }
-
   /// Runs fn(begin, end) over [0, n) split into dynamic chunks of `grain`
-  /// items (grain 0 = auto: ~kChunksPerWorker chunks per worker); blocks
+  /// items (grain 0 = auto: kChunksPerWorker chunks per worker); blocks
   /// until all chunks complete. fn must be safe to run concurrently on
   /// disjoint ranges. Safe to call concurrently from many threads and
   /// re-entrantly from inside a dispatched fn.
@@ -131,8 +118,6 @@ class ThreadPool {
       return;
     }
     if (grain == 0) grain = auto_grain(n, nw);
-    const std::uint64_t steals_before =
-        pool_steals_.load(std::memory_order_relaxed);
     auto group = std::make_shared<TaskGroup>();
     group->fn = &fn;
     group->n = n;
@@ -170,8 +155,6 @@ class ThreadPool {
     COSMO_HISTOGRAM("dpp.dispatch_wait_ms", 0.0, 50.0, 50, waited_s * 1e3);
 #endif
     retire(home, group.get());
-    note_dispatch(group->num_chunks,
-                  pool_steals_.load(std::memory_order_relaxed) - steals_before);
     // Visibility: the error write happened before the final unfinished
     // decrement (acq_rel), which we observed either directly or through the
     // mutex-protected done flag.
@@ -201,56 +184,16 @@ class ThreadPool {
     std::deque<std::shared_ptr<TaskGroup>> groups;
   };
 
-  /// ~4 claimable chunks per worker: enough slack for dynamic balancing,
-  /// few enough that the atomic claim stays negligible per chunk.
-  static constexpr std::size_t kChunksPerWorker = 4;
+  /// Auto grain: 32 claimable chunks per worker — enough slack for dynamic
+  /// balancing, few enough that the atomic claim stays negligible per chunk.
+  /// 32 is where a steal-driven grain feedback loop settled on every
+  /// perfbench workload (halved from 4 three times, never restored); the
+  /// constant measured within run-to-run noise of the loop.
+  static constexpr std::size_t kChunksPerWorker = 32;
 
-  // Steal-aware auto-grain feedback. The steal ratio of recent dispatches
-  // (pool-wide steals per chunk run) tells whether the current chunking left
-  // any balancing slack: a ratio near zero means chunks were drained without
-  // sibling participation — an imbalanced dispatch would have nothing to
-  // steal — so the effective auto grain is halved (target chunk count
-  // doubled, up to kMaxGrainShift halvings). A high ratio means chunks are
-  // already fine enough that workers mostly live off each other's queues;
-  // back the shift off one step to keep per-chunk overhead bounded.
-  // Explicit per-call grains are never overridden; only grain==0 dispatches
-  // see the shift, and none of the deterministic block decompositions in
-  // primitives.h consult it, so numerics are unaffected.
-  static constexpr int kMaxGrainShift = 3;
-  static constexpr std::uint64_t kAutotuneWindowChunks = 512;
-
-  std::size_t auto_grain(std::size_t n, std::size_t nw) const {
-    const auto shift =
-        static_cast<std::size_t>(grain_shift_.load(std::memory_order_relaxed));
-    const std::size_t target = (kChunksPerWorker << shift) * nw;
-    const std::size_t g = (n + target - 1) / target;
-    return g > 0 ? g : 1;
-  }
-
-  /// Folds one finished dispatch into the feedback window. Concurrent
-  /// dispatches may attribute the same steal events to several windows —
-  /// that over-counts steals, which only delays halving (the conservative
-  /// direction), so relaxed atomics are enough.
-  void note_dispatch(std::size_t chunks, std::uint64_t steals) {
-    window_steals_.fetch_add(steals, std::memory_order_relaxed);
-    const std::uint64_t total =
-        window_chunks_.fetch_add(chunks, std::memory_order_relaxed) + chunks;
-    if (total < kAutotuneWindowChunks) return;
-    const std::uint64_t wc = window_chunks_.exchange(0, std::memory_order_relaxed);
-    if (wc == 0) return;  // another dispatch claimed this window
-    const std::uint64_t ws = window_steals_.exchange(0, std::memory_order_relaxed);
-    const int shift = grain_shift_.load(std::memory_order_relaxed);
-    if (ws * 32 < wc) {  // steal ratio < ~3%: no balancing slack left
-      if (shift < kMaxGrainShift) {
-        grain_shift_.store(shift + 1, std::memory_order_relaxed);
-        COSMO_COUNT("dpp.autotune_halvings", 1);
-        COSMO_GAUGE_SET("dpp.grain_shift", shift + 1);
-      }
-    } else if (ws * 2 > wc && shift > 0) {  // > 50%: chunks needlessly fine
-      grain_shift_.store(shift - 1, std::memory_order_relaxed);
-      COSMO_COUNT("dpp.autotune_restores", 1);
-      COSMO_GAUGE_SET("dpp.grain_shift", shift - 1);
-    }
+  static std::size_t auto_grain(std::size_t n, std::size_t nw) {
+    const std::size_t target = kChunksPerWorker * nw;
+    return (n + target - 1) / target;
   }
 
   static int& tls_worker_id() {
@@ -332,10 +275,7 @@ class ThreadPool {
       auto& g = queues_[qi]->groups;
       while (!g.empty() && g.front()->exhausted()) g.pop_front();
       if (!g.empty()) {
-        if (pass != 0) {
-          pool_steals_.fetch_add(1, std::memory_order_relaxed);
-          COSMO_COUNT("dpp.steals", 1);
-        }
+        if (pass != 0) COSMO_COUNT("dpp.steals", 1);
         return g.front();
       }
     }
@@ -362,13 +302,9 @@ class ThreadPool {
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
-  std::atomic<std::size_t> next_queue_{0};
-  // Autotune state (kept pool-local so the feedback works with obs
-  // compiled out; the metrics layer only mirrors it).
-  std::atomic<std::uint64_t> pool_steals_{0};
-  std::atomic<std::uint64_t> window_chunks_{0};
-  std::atomic<std::uint64_t> window_steals_{0};
-  std::atomic<int> grain_shift_{0};
+  // Written on every submit, like idle_mutex_ after it: kept off the cache
+  // line of queues_, which every worker reads on each scan.
+  alignas(64) std::atomic<std::size_t> next_queue_{0};
   std::mutex idle_mutex_;
   std::condition_variable idle_cv_;
   std::uint64_t epoch_ = 0;

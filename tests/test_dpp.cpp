@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "comm/comm.h"
@@ -447,16 +448,19 @@ TEST(DppPool, NestedParallelForFromWorkerCompletes) {
 #endif
 }
 
-// Dynamic chunking must honor an explicit grain: no chunk larger than the
-// grain, full exactly-once coverage.
+// Dynamic chunking must honor an explicit grain: exactly ceil(n / grain)
+// chunks, none larger than the grain, full exactly-once coverage. The
+// deposit's bit-exactness rests on this deterministic block structure.
 TEST(DppPool, ExplicitGrainBoundsChunks) {
   constexpr std::size_t kN = 10000;
   constexpr std::size_t kGrain = 128;
   std::vector<std::atomic<std::uint8_t>> seen(kN);
   std::atomic<std::size_t> max_chunk{0};
+  std::atomic<std::size_t> chunks{0};
   dpp::ThreadPool::instance().parallel_for(
       kN,
       [&](std::size_t lo, std::size_t hi) {
+        chunks.fetch_add(1, std::memory_order_relaxed);
         std::size_t prev = max_chunk.load(std::memory_order_relaxed);
         while (hi - lo > prev &&
                !max_chunk.compare_exchange_weak(prev, hi - lo)) {
@@ -466,6 +470,7 @@ TEST(DppPool, ExplicitGrainBoundsChunks) {
       },
       kGrain);
   EXPECT_LE(max_chunk.load(), kGrain);
+  EXPECT_EQ(chunks.load(), (kN + kGrain - 1) / kGrain);
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(seen[i].load(), 1u);
 }
 
@@ -551,115 +556,30 @@ TEST(DppPool, WorkStealingBalancesImbalancedRanks) {
 #endif
 }
 
-// ---- steal-aware grain auto-tuning -----------------------------------------
-
-// Deterministically produces a zero-steal regime on a private pool: every
-// worker (and one helper dispatcher) is pinned inside a spinning dispatch, so
-// auto-grain dispatches issued from the test thread are drained entirely by
-// help-execution — no sibling ever steals a chunk. The feedback must read
-// that as "no balancing slack" and halve the effective grain.
-TEST(DppAutotune, ZeroStealRegimeHalvesAutoGrain) {
+// The auto grain is a fixed kChunksPerWorker = 32 chunks per worker: a
+// fresh 2-worker pool cuts 4096 items into exactly 64 chunks, from the first
+// dispatch on.
+TEST(DppPool, AutoGrainRunsFixedChunksPerWorker) {
   dpp::ThreadPool pool(2);
-  ASSERT_EQ(pool.grain_shift(), 0);
-
-  std::atomic<bool> release{false};
-  std::atomic<int> pinned{0};
-  const std::size_t spinners = pool.workers() + 1;  // workers + dispatcher
-  std::thread occupier([&] {
-    pool.parallel_for(
-        spinners,
-        [&](std::size_t, std::size_t) {
-          pinned.fetch_add(1, std::memory_order_relaxed);
-          while (!release.load(std::memory_order_relaxed))
-            std::this_thread::yield();
-        },
-        /*grain=*/1);
+  constexpr std::size_t kN = 4096;
+  std::atomic<std::uint64_t> chunks{0};
+  std::vector<std::uint64_t> out(kN);
+  pool.parallel_for(kN, [&](std::size_t lo, std::size_t hi) {
+    chunks.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = lo; i < hi; ++i) out[i] = 3 * i + 1;
   });
-  while (pinned.load(std::memory_order_relaxed) <
-         static_cast<int>(spinners))
-    std::this_thread::yield();
-
-  // Every worker is spinning: each auto-grain dispatch below runs entirely
-  // on this thread (zero steals). 4 chunks/worker × 2 workers = 8 chunks per
-  // dispatch; 80 dispatches ≫ the 512-chunk feedback window.
-  std::vector<std::uint64_t> out(64);
-  for (int iter = 0; iter < 80 && pool.grain_shift() == 0; ++iter)
-    pool.parallel_for(out.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) out[i] = i;
-    });
-  EXPECT_GE(pool.grain_shift(), 1);
-
-  release.store(true, std::memory_order_relaxed);
-  occupier.join();
+  EXPECT_EQ(chunks.load(), 64u);  // kChunksPerWorker × 2 workers
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(out[i], 3 * i + 1);
 }
 
-// The shift doubles the chunk count of subsequent auto-grain dispatches
-// (the slack an imbalanced workload needs), and never perturbs results.
-TEST(DppAutotune, ShiftRefinesChunkingForImbalancedDispatch) {
-  dpp::ThreadPool pool(2);
-  auto chunks_of_dispatch = [&](std::size_t n) {
-    std::atomic<std::uint64_t> chunks{0};
-    std::vector<std::uint64_t> out(n);
-    pool.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-      chunks.fetch_add(1, std::memory_order_relaxed);
-      // Imbalanced cost profile: early indices are ~100× heavier.
-      for (std::size_t i = lo; i < hi; ++i) {
-        std::uint64_t acc = i;
-        const int reps = i < n / 8 ? 100 : 1;
-        for (int r = 0; r < reps; ++r) acc = acc * 2862933555777941757ULL + 1;
-        out[i] = acc;
-      }
-    });
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t acc = i;
-      const int reps = i < n / 8 ? 100 : 1;
-      for (int r = 0; r < reps; ++r) acc = acc * 2862933555777941757ULL + 1;
-      EXPECT_EQ(out[i], acc) << "index " << i;
-    }
-    return chunks.load();
-  };
-
-  const std::uint64_t base = chunks_of_dispatch(4096);
-  EXPECT_EQ(base, 8u);  // kChunksPerWorker × 2 workers
-
-  // Force the zero-steal regime as above until the feedback reacts.
-  std::atomic<bool> release{false};
-  std::atomic<int> pinned{0};
-  const std::size_t spinners = pool.workers() + 1;
-  std::thread occupier([&] {
-    pool.parallel_for(
-        spinners,
-        [&](std::size_t, std::size_t) {
-          pinned.fetch_add(1, std::memory_order_relaxed);
-          while (!release.load(std::memory_order_relaxed))
-            std::this_thread::yield();
-        },
-        /*grain=*/1);
-  });
-  while (pinned.load(std::memory_order_relaxed) <
-         static_cast<int>(spinners))
-    std::this_thread::yield();
-  std::vector<std::uint64_t> filler(64);
-  for (int iter = 0; iter < 200 && pool.grain_shift() == 0; ++iter)
-    pool.parallel_for(filler.size(), [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) filler[i] = i;
-    });
-  release.store(true, std::memory_order_relaxed);
-  occupier.join();
-  ASSERT_GE(pool.grain_shift(), 1);
-
-  // The imbalanced dispatch now gets at least twice the chunks — restored
-  // balancing slack — with identical output (asserted inside the helper).
-  EXPECT_GE(chunks_of_dispatch(4096), 2 * base);
-
-  pool.reset_autotune();
-  EXPECT_EQ(pool.grain_shift(), 0);
-  EXPECT_EQ(chunks_of_dispatch(4096), base);
-}
-
-// Explicit grains are a caller contract — the feedback must never override
-// them (deterministic block structure is what the deposit's bit-exactness
-// rests on).
+// Explicit grains are a caller contract that no dispatch history may
+// override (deterministic block structure is what the deposit's
+// bit-exactness rests on). Drive a zero-steal regime on a private pool —
+// every worker (and one helper dispatcher) pinned inside a spinning
+// dispatch, so 200 auto-grain dispatches from this thread are drained
+// entirely by help-execution — then check that an explicit grain still
+// gives exactly ceil(n / grain) chunks and the auto grain still its fixed
+// chunk count.
 TEST(DppAutotune, ExplicitGrainIsNeverOverridden) {
   dpp::ThreadPool pool(2);
   std::atomic<bool> release{false};
@@ -679,13 +599,13 @@ TEST(DppAutotune, ExplicitGrainIsNeverOverridden) {
          static_cast<int>(spinners))
     std::this_thread::yield();
   std::vector<std::uint64_t> filler(64);
-  for (int iter = 0; iter < 200 && pool.grain_shift() == 0; ++iter)
+  for (int iter = 0; iter < 200; ++iter)
     pool.parallel_for(filler.size(), [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) filler[i] = i;
     });
   release.store(true, std::memory_order_relaxed);
   occupier.join();
-  ASSERT_GE(pool.grain_shift(), 1);
+  for (std::size_t i = 0; i < filler.size(); ++i) ASSERT_EQ(filler[i], i);
 
   std::atomic<std::uint64_t> chunks{0};
   std::vector<std::uint64_t> out(1000);
@@ -696,7 +616,16 @@ TEST(DppAutotune, ExplicitGrainIsNeverOverridden) {
         for (std::size_t i = lo; i < hi; ++i) out[i] = i;
       },
       /*grain=*/100);
-  EXPECT_EQ(chunks.load(), 10u);  // 1000 / 100, shift ignored
+  EXPECT_EQ(chunks.load(), 10u);  // 1000 / 100
+  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i);
+
+  std::atomic<std::uint64_t> auto_chunks{0};
+  std::vector<std::uint64_t> big(4096);
+  pool.parallel_for(big.size(), [&](std::size_t lo, std::size_t hi) {
+    auto_chunks.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = lo; i < hi; ++i) big[i] = i;
+  });
+  EXPECT_EQ(auto_chunks.load(), 64u);  // kChunksPerWorker × 2 workers
 }
 
 }  // namespace
