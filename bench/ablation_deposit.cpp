@@ -7,27 +7,22 @@
 // per-thread slab reduction in dpp::deposit_reduce), both standalone and
 // while analysis drivers hammer the same process-wide pool — the paper's
 // co-scheduling scenario, where the in-situ analysis and the solver share
-// one node. It also checks the headline contract: both backends produce a
-// bit-identical δ field (CRC32 over the raw doubles, ghost planes included).
+// one node. It also checks the headline contract: every deposit on both
+// backends produces a bit-identical δ field (CRC32 over the raw doubles,
+// ghost planes included).
 //
-// Results land in BENCH_pm.json; the serial scenario doubles as the
-// embedded baseline the pooled speedups are quoted against.
-#include <atomic>
-#include <cmath>
+// Results land in BENCH_pm.json.
 #include <cstdio>
-#include <fstream>
-#include <thread>
-#include <vector>
 
 #include "bench_common.h"
 #include "dpp/primitives.h"
 #include "sim/cosmology.h"
 #include "sim/pm_solver.h"
-#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
 using namespace cosmo;
+using bench_common::counter_total;
 
 namespace {
 
@@ -37,56 +32,13 @@ constexpr std::size_t kParticles = 4 * kGrid * kGrid * kGrid;  // 4 per cell
 constexpr int kReps = 8;
 constexpr int kAnalysisDrivers = 2;
 
-struct DepositStats {
-  double wall_s = 0.0;
-  double deposit_s = 0.0;      // sim.deposit span total across all reps
-  std::uint64_t buffers = 0;   // private slabs allocated (dpp.deposit_buffers)
-  std::uint64_t steals = 0;
-  std::uint32_t crc = 0;       // CRC32 of the final δ field (bit-identity)
-};
-
-double span_total(const char* name) {
-  for (const auto& st : obs::Tracer::instance().summary())
-    if (st.name == name) return st.total_s;
-  return 0.0;
-}
-
-/// Short unoptimizable per-item loop, same shape as ablation_dispatch's
-/// analysis stand-in: keeps the pool busy without saturating memory bandwidth.
-double item_work(std::size_t i) {
-  double acc = 0.0;
-  for (int k = 1; k <= 12; ++k)
-    acc += std::sqrt(static_cast<double>(i % 1024 + static_cast<std::size_t>(k)));
-  return acc;
-}
-
-/// One scenario: kReps full-box deposits on the given backend, optionally
-/// with kAnalysisDrivers threads issuing analysis-style parallel_for loops
-/// on the shared pool for the whole duration (the co-scheduled in-situ job).
-DepositStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
-  auto& reg = obs::MetricsRegistry::instance();
-  reg.reset();
-  const double deposit_before = span_total("sim.deposit");
-
-  std::atomic<bool> stop{false};
-  std::atomic<double> sink{0.0};
-  std::vector<std::thread> drivers;
-  if (concurrent_analysis) {
-    for (int d = 0; d < kAnalysisDrivers; ++d)
-      drivers.emplace_back([&] {
-        std::vector<double> out(1 << 14);
-        while (!stop.load(std::memory_order_relaxed)) {
-          dpp::ThreadPool::instance().parallel_for(
-              out.size(), [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i) out[i] = item_work(i);
-              });
-          sink.store(out[out.size() / 2], std::memory_order_relaxed);
-        }
-      });
-  }
-
-  DepositStats s;
-  WallTimer wall;
+/// One scenario: kReps full-box deposits on the given backend, with
+/// `drivers` analysis-driver threads sharing the pool for the whole duration.
+bench_common::Scenario run_scenario(bench_common::Runner& runner,
+                                    const char* name, dpp::Backend be,
+                                    int drivers) {
+  bench_common::AnalysisDrivers co_scheduled(drivers);
+  bench_common::Scenario result;
   comm::run_spmd(1, [&](comm::Comm& c) {
     sim::Cosmology cosmo;
     sim::PmSolver pm(c, cosmo, kGrid, kBox);
@@ -99,34 +51,22 @@ DepositStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
                   static_cast<float>(rng.uniform(0, kBox)), 0, 0, 0, 0);
     const double mean = static_cast<double>(kParticles) /
                         static_cast<double>(kGrid * kGrid * kGrid);
-    for (int r = 0; r < kReps; ++r) {
+    result = runner.run(name, [&](int) {
+      const double buffers0 = counter_total("dpp.deposit_buffers");
+      const double steals0 = counter_total("dpp.steals");
+      WallTimer t;
       auto delta = pm.deposit_density(p, mean);
+      bench_common::Sample s;
+      s.seconds = t.seconds();
       const auto d = delta.data();
       s.crc = crc32(d.data(), d.size() * sizeof(double));
-    }
+      s.fields = {
+          {"private_buffers", counter_total("dpp.deposit_buffers") - buffers0},
+          {"steals", counter_total("dpp.steals") - steals0}};
+      return s;
+    });
   });
-  s.wall_s = wall.seconds();
-
-  stop.store(true);
-  for (auto& t : drivers) t.join();
-
-  s.deposit_s = span_total("sim.deposit") - deposit_before;
-  if (reg.has_counter("dpp.deposit_buffers"))
-    s.buffers = reg.counter("dpp.deposit_buffers").total();
-  if (reg.has_counter("dpp.steals")) s.steals = reg.counter("dpp.steals").total();
-  return s;
-}
-
-void json_scenario(std::ofstream& j, const char* name, const DepositStats& s,
-                   double baseline_deposit_s, bool last) {
-  j << "    {\"scenario\": \"" << name
-    << "\", \"deposit_s_total\": " << s.deposit_s
-    << ", \"deposit_ms_per_step\": " << s.deposit_s / kReps * 1e3
-    << ", \"wall_s\": " << s.wall_s
-    << ", \"private_buffers\": " << s.buffers << ", \"steals\": " << s.steals
-    << ", \"speedup_vs_serial_baseline\": "
-    << baseline_deposit_s / std::max(s.deposit_s, 1e-12) << "}"
-    << (last ? "\n" : ",\n");
+  return result;
 }
 
 }  // namespace
@@ -137,64 +77,36 @@ int main(int argc, char** argv) {
       "Ablation — serial vs pooled CIC deposit (deterministic scatter-reduce)",
       "the in-situ density pipeline; deposit was the last serial stage");
 
-  const auto serial = run_scenario(dpp::Backend::Serial, false);
-  const auto pooled = run_scenario(dpp::Backend::ThreadPool, false);
-  const auto serial_co = run_scenario(dpp::Backend::Serial, true);
-  const auto pooled_co = run_scenario(dpp::Backend::ThreadPool, true);
+  bench_common::Runner runner("ablation_deposit", kReps);
+  const auto serial =
+      run_scenario(runner, "serial_standalone", dpp::Backend::Serial, 0);
+  const auto pooled =
+      run_scenario(runner, "pooled_standalone", dpp::Backend::ThreadPool, 0);
+  const auto serial_co = run_scenario(runner, "serial_concurrent_analysis",
+                                      dpp::Backend::Serial, kAnalysisDrivers);
+  const auto pooled_co =
+      run_scenario(runner, "pooled_concurrent_analysis",
+                   dpp::Backend::ThreadPool, kAnalysisDrivers);
 
-  const bool bit_identical = serial.crc == pooled.crc &&
-                             serial.crc == serial_co.crc &&
-                             serial.crc == pooled_co.crc;
-
-  TextTable t({"scenario", "deposit ms/step", "wall (s)", "speedup",
-               "buffers", "steals"});
-  auto add = [&](const char* name, const DepositStats& s) {
-    t.add_row({name, TextTable::num(s.deposit_s / kReps * 1e3, 2),
-               TextTable::num(s.wall_s, 3),
-               TextTable::num(serial.deposit_s / std::max(s.deposit_s, 1e-12), 2),
-               std::to_string(s.buffers), std::to_string(s.steals)});
+  TextTable t({"scenario", "deposit median (ms)", "speedup", "buffers",
+               "steals"});
+  auto add = [&](const char* name, const bench_common::Scenario& s,
+                 const bench_common::Scenario& base) {
+    t.add_row({name, TextTable::num(s.seconds().median * 1e3, 2),
+               TextTable::num(base.seconds().median /
+                                  std::max(s.seconds().median, 1e-12),
+                              2),
+               TextTable::num(s.field("private_buffers").median, 0),
+               TextTable::num(s.field("steals").median, 0)});
   };
-  add("serial standalone (baseline)", serial);
-  add("pooled standalone", pooled);
-  add("serial + analysis drivers", serial_co);
-  add("pooled + analysis drivers", pooled_co);
+  add("serial standalone (baseline)", serial, serial);
+  add("pooled standalone", pooled, serial);
+  add("serial + analysis drivers", serial_co, serial_co);
+  add("pooled + analysis drivers", pooled_co, serial_co);
   t.print(std::cout);
   std::printf(
-      "grid %zu^3, %zu particles, %d deposits per scenario; %d analysis "
-      "drivers in the concurrent scenarios\n"
-      "delta field bit-identical across backends and scenarios: %s "
-      "(crc32 %08x)\npool workers: %zu; host threads: %u\n",
-      kGrid, kParticles, kReps, kAnalysisDrivers,
-      bit_identical ? "YES" : "NO — determinism contract violated",
-      serial.crc, dpp::ThreadPool::instance().workers(),
-      std::thread::hardware_concurrency());
-
-  {
-    std::ofstream j("BENCH_pm.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"ablation_deposit\",\n"
-      << "  \"pool_workers\": " << dpp::ThreadPool::instance().workers()
-      << ",\n  \"host_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"grid\": " << kGrid << ",\n  \"particles\": " << kParticles
-      << ",\n  \"deposits_per_scenario\": " << kReps
-      << ",\n  \"analysis_drivers\": " << kAnalysisDrivers
-      << ",\n  \"delta_bit_identical\": " << (bit_identical ? "true" : "false")
-      << ",\n  \"delta_crc32\": \"" << std::hex << serial.crc << std::dec
-      << "\",\n"
-      << "  \"baseline_serial_deposit\": {\n"
-      << "    \"note\": \"Backend::Serial scatter-reduce measured in this "
-         "run; pooled speedups below are quoted against it\",\n"
-      << "    \"deposit_s_total\": " << serial.deposit_s
-      << ",\n    \"deposit_ms_per_step\": " << serial.deposit_s / kReps * 1e3
-      << "\n  },\n"
-      << "  \"scenarios\": [\n";
-    json_scenario(j, "serial_standalone", serial, serial.deposit_s, false);
-    json_scenario(j, "pooled_standalone", pooled, serial.deposit_s, false);
-    json_scenario(j, "serial_concurrent_analysis", serial_co, serial_co.deposit_s,
-                  false);
-    json_scenario(j, "pooled_concurrent_analysis", pooled_co, serial_co.deposit_s,
-                  true);
-    j << "  ]\n}\n";
-    if (j.good()) std::printf("wrote BENCH_pm.json\n");
-  }
-  return !bit_identical;
+      "grid %zu^3, %zu particles, %d deposits per scenario (medians "
+      "reported); %d analysis drivers in the concurrent scenarios\n",
+      kGrid, kParticles, kReps, kAnalysisDrivers);
+  return runner.finish("BENCH_pm.json");
 }

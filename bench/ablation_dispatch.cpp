@@ -8,13 +8,10 @@
 // Part 2 — concurrent parallel_for dispatch: several SPMD ranks drive the
 // process-wide dpp worker pool at once, the co-scheduling scenario the
 // paper's in-situ analysis lives in. Measures aggregate throughput, the
-// dpp.dispatch_wait tail, and (with the work-stealing scheduler) steal
-// counts, for both a uniform and a 10x-imbalanced rank workload. Results
-// land in BENCH_dpp.json so the perf trajectory is recorded run-over-run.
-#include <atomic>
-#include <cmath>
+// dpp.dispatch_wait tail and steal counts, for both a uniform and a
+// 10x-imbalanced rank workload. Results land in BENCH_dpp.json so the perf
+// trajectory is recorded run-over-run.
 #include <cstdio>
-#include <fstream>
 #include <memory>
 
 #include "bench_common.h"
@@ -26,6 +23,11 @@
 using namespace cosmo;
 
 namespace {
+
+constexpr int kReps = 5;
+constexpr int kRanks = 4;
+constexpr int kDispatches = 48;
+constexpr std::size_t kItems = 1 << 14;
 
 /// Deliberately trivial algorithm: dispatch overhead dominates. The
 /// volatile accumulator keeps the optimizer from collapsing the static
@@ -42,26 +44,6 @@ class TinyAlgorithm : public core::InSituAlgorithm {
   std::string Name() const override { return "tiny"; }
   volatile double acc_ = 0.0;
 };
-
-/// One concurrent-dispatch scenario: `ranks` SPMD ranks each issue
-/// `dispatches` parallel_for calls over their own item count. Per-item work
-/// is a short but unoptimizable float loop (~100ns) so dispatch overhead and
-/// pool sharing, not memory bandwidth, dominate the measurement.
-struct ConcurrentStats {
-  double wall_s = 0.0;
-  double items = 0.0;
-  std::uint64_t dispatch_wait_us = 0;
-  double wait_ms_p99 = 0.0;
-  std::uint64_t steals = 0;
-  std::uint64_t dispatches = 0;
-};
-
-double item_work(std::size_t i) {
-  double acc = 0.0;
-  for (int k = 1; k <= 12; ++k)
-    acc += std::sqrt(static_cast<double>(i % 1024 + static_cast<std::size_t>(k)));
-  return acc;
-}
 
 /// Approximate p99 of the dpp.dispatch_wait_ms histogram (upper edge of the
 /// bin containing the 99th percentile; overflow reports the histogram max).
@@ -80,56 +62,45 @@ double dispatch_wait_p99_ms() {
   return 50.0;  // p99 sits in the overflow bin
 }
 
-ConcurrentStats run_concurrent(int ranks, int dispatches,
-                               std::size_t items_uniform,
-                               bool imbalanced) {
+/// One repeat of a concurrent-dispatch scenario: `ranks` SPMD ranks each
+/// issue kDispatches parallel_for calls over their own items. The per-item
+/// work is short but unoptimizable, so dispatch overhead and pool sharing,
+/// not memory bandwidth, dominate. The output CRC is the last rank's buffer,
+/// which holds kItems items in every scenario: a chunk the pool dropped
+/// leaves zeros there and fails the gate.
+bench_common::Sample dispatch_repeat(int ranks, bool imbalanced) {
   auto& reg = obs::MetricsRegistry::instance();
   reg.reset();
-  std::atomic<double> sink{0.0};
+  std::uint32_t crc = 0;
   WallTimer wall;
-  double total_items = 0.0;
   comm::run_spmd(ranks, [&](comm::Comm& c) {
     // Imbalanced mode: rank 0 carries 10x the items of every other rank —
     // the "one monster halo" shape from the paper's center-finder phase.
-    const std::size_t mine =
-        imbalanced && c.rank() == 0 ? 10 * items_uniform : items_uniform;
-    double local = 0.0;
+    const std::size_t mine = imbalanced && c.rank() == 0 ? 10 * kItems : kItems;
     std::vector<double> out(mine);
-    for (int d = 0; d < dispatches; ++d) {
+    for (int d = 0; d < kDispatches; ++d)
       dpp::ThreadPool::instance().parallel_for(
           mine, [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) out[i] = item_work(i);
+            for (std::size_t i = lo; i < hi; ++i)
+              out[i] = bench_common::item_work(i);
           });
-      local += out[mine / 2];
-    }
-    sink.store(local);  // keep `out` observable
+    if (c.rank() == c.size() - 1)
+      crc = crc32(out.data(), out.size() * sizeof(double));
     c.barrier();
   });
-  ConcurrentStats s;
-  s.wall_s = wall.seconds();
-  for (int r = 0; r < ranks; ++r)
-    total_items += static_cast<double>(dispatches) *
-                   static_cast<double>(imbalanced && r == 0 ? 10 * items_uniform
-                                                           : items_uniform);
-  s.items = total_items;
-  s.dispatch_wait_us = reg.counter("dpp.dispatch_wait_us").total();
-  s.wait_ms_p99 = dispatch_wait_p99_ms();
-  s.dispatches = reg.counter("dpp.dispatches").total();
-  if (reg.has_counter("dpp.steals"))
-    s.steals = reg.counter("dpp.steals").total();
+  bench_common::Sample s;
+  s.seconds = wall.seconds();
+  s.crc = crc;
+  const double items = static_cast<double>(kDispatches) *
+                       static_cast<double>(kItems) *
+                       (ranks + (imbalanced ? 9 : 0));
+  s.fields = {
+      {"items", items},
+      {"dispatch_wait_us", bench_common::counter_total("dpp.dispatch_wait_us")},
+      {"dispatch_wait_ms_p99", dispatch_wait_p99_ms()},
+      {"pool_dispatches", bench_common::counter_total("dpp.dispatches")},
+      {"steals", bench_common::counter_total("dpp.steals")}};
   return s;
-}
-
-void json_scenario(std::ofstream& j, const char* name, int ranks,
-                   int dispatches, const ConcurrentStats& s, bool last) {
-  j << "    {\"scenario\": \"" << name << "\", \"ranks\": " << ranks
-    << ", \"dispatches_per_rank\": " << dispatches
-    << ", \"wall_s\": " << s.wall_s << ", \"items\": " << s.items
-    << ", \"throughput_items_per_s\": " << (s.items / std::max(s.wall_s, 1e-9))
-    << ", \"dispatch_wait_us_total\": " << s.dispatch_wait_us
-    << ", \"dispatch_wait_ms_p99\": " << s.wait_ms_p99
-    << ", \"pool_dispatches\": " << s.dispatches
-    << ", \"steals\": " << s.steals << "}" << (last ? "\n" : ",\n");
 }
 
 }  // namespace
@@ -208,69 +179,32 @@ int main(int argc, char** argv) {
   // ---- Part 2: concurrent SPMD parallel_for dispatch -----------------------
   std::printf("\n=== Concurrent parallel_for dispatch (co-scheduled ranks "
               "sharing the dpp pool) ===\n");
-  const bool work_stealing = [] {
-    // Probe: the work-stealing scheduler registers dpp.steals on first use.
-    dpp::ThreadPool::instance().parallel_for(
-        1 << 14, [](std::size_t, std::size_t) {});
-    return obs::MetricsRegistry::instance().has_counter("dpp.steals");
-  }();
-  constexpr int kRanks = 4;
-  constexpr int kDispatches = 48;
-  constexpr std::size_t kItems = 1 << 14;
+  bench_common::Runner runner("ablation_dispatch", kReps);
+  const auto solo =
+      runner.run("solo", [](int) { return dispatch_repeat(1, false); });
+  const auto uniform =
+      runner.run("uniform", [](int) { return dispatch_repeat(kRanks, false); });
+  const auto imbalanced = runner.run(
+      "imbalanced_10x", [](int) { return dispatch_repeat(kRanks, true); });
 
-  const auto solo = run_concurrent(1, kDispatches, kItems, false);
-  const auto uniform = run_concurrent(kRanks, kDispatches, kItems, false);
-  const auto imbalanced = run_concurrent(kRanks, kDispatches, kItems, true);
-
-  TextTable t({"scenario", "ranks", "wall (s)", "Mitems/s",
+  TextTable t({"scenario", "ranks", "wall median (s)", "Mitems/s",
                "dispatch wait (ms total)", "wait p99 (ms)", "steals"});
-  auto add = [&](const char* name, int ranks, const ConcurrentStats& s) {
-    t.add_row({name, std::to_string(ranks), TextTable::num(s.wall_s, 3),
-               TextTable::num(s.items / std::max(s.wall_s, 1e-9) / 1e6, 2),
-               TextTable::num(static_cast<double>(s.dispatch_wait_us) / 1e3, 1),
-               TextTable::num(s.wait_ms_p99, 1), std::to_string(s.steals)});
+  auto add = [&](const char* name, int ranks, const bench_common::Scenario& s) {
+    const double wall = s.seconds().median;
+    t.add_row({name, std::to_string(ranks), TextTable::num(wall, 3),
+               TextTable::num(s.field("items").median /
+                                  std::max(wall, 1e-9) / 1e6,
+                              2),
+               TextTable::num(s.field("dispatch_wait_us").median / 1e3, 1),
+               TextTable::num(s.field("dispatch_wait_ms_p99").median, 1),
+               TextTable::num(s.field("steals").median, 0)});
   };
   add("solo rank", 1, solo);
   add("uniform", kRanks, uniform);
   add("imbalanced 10x", kRanks, imbalanced);
   t.print(std::cout);
-  std::printf("scheduler: %s; pool workers: %zu; host threads: %u\n",
-              work_stealing ? "work-stealing task groups"
-                            : "serialized single-job (pre-redesign)",
-              dpp::ThreadPool::instance().workers(),
-              std::thread::hardware_concurrency());
-
-  {
-    std::ofstream j("BENCH_dpp.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"ablation_dispatch.concurrent\",\n"
-      << "  \"scheduler\": \""
-      << (work_stealing ? "work-stealing" : "serialized-baseline") << "\",\n"
-      << "  \"pool_workers\": " << dpp::ThreadPool::instance().workers()
-      << ",\n  \"host_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"scenarios\": [\n";
-    json_scenario(j, "solo", 1, kDispatches, solo, false);
-    json_scenario(j, "uniform", kRanks, kDispatches, uniform, false);
-    json_scenario(j, "imbalanced_10x", kRanks, kDispatches, imbalanced, true);
-    j << "  ],\n";
-    // Reference run of the SAME scenarios against the pre-redesign
-    // serialized scheduler (captured on a 1-core/2-worker host before the
-    // work-stealing rewrite), kept here so every BENCH_dpp.json carries the
-    // pre/post ablation. Headline: the 10x-imbalanced 4-rank case spent
-    // 979.7 ms total (p99 45 ms) queueing on the dispatch lock, 0 steals.
-    j << "  \"baseline_serialized_scheduler\": {\n"
-      << "    \"note\": \"pre-redesign reference, 1-core host, 2 workers\",\n"
-      << "    \"scenarios\": [\n"
-      << "      {\"scenario\": \"solo\", \"wall_s\": 0.0262, "
-         "\"throughput_items_per_s\": 3.00e7, \"dispatch_wait_us_total\": 0, "
-         "\"dispatch_wait_ms_p99\": 1, \"steals\": 0},\n"
-      << "      {\"scenario\": \"uniform\", \"wall_s\": 0.0899, "
-         "\"throughput_items_per_s\": 3.50e7, \"dispatch_wait_us_total\": "
-         "228334, \"dispatch_wait_ms_p99\": 11, \"steals\": 0},\n"
-      << "      {\"scenario\": \"imbalanced_10x\", \"wall_s\": 0.3784, "
-         "\"throughput_items_per_s\": 2.70e7, \"dispatch_wait_us_total\": "
-         "979655, \"dispatch_wait_ms_p99\": 45, \"steals\": 0}\n"
-      << "    ]\n  }\n}\n";
-    if (j.good()) std::printf("wrote BENCH_dpp.json\n");
-  }
-  return 0;
+  std::printf("%d repeats per scenario (medians reported), %d dispatches of "
+              "%zu items per rank\n",
+              kReps, kDispatches, kItems);
+  return runner.finish("BENCH_dpp.json");
 }

@@ -11,19 +11,13 @@
 // kReps times and reports the median, so a stray scheduling hiccup cannot
 // fake (or hide) a speedup.
 //
-// The headline contract is asserted, not eyeballed: every scenario's halo
-// catalog is CRC'd (sorted by id, raw record bytes) and the process exits
-// nonzero if any backend or scenario disagrees — the pooled chain must be
-// bit-identical to serial, not merely statistically close.
+// The headline contract is asserted, not eyeballed: every step's halo
+// catalog is CRC'd and the process exits nonzero if any backend, scenario
+// or repeat disagrees — the pooled chain must be bit-identical to serial,
+// not merely statistically close.
 //
 // Results land in BENCH_halo.json.
-#include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <thread>
-#include <vector>
 
 #include "bench_common.h"
 #include "core/algorithms.h"
@@ -31,70 +25,27 @@
 #include "dpp/primitives.h"
 #include "sim/cosmology.h"
 #include "sim/synthetic.h"
-#include "stats/catalog.h"
-#include "util/crc32.h"
 #include "util/timer.h"
 
 using namespace cosmo;
+using bench_common::span_total;
 
 namespace {
 
 constexpr int kReps = 5;  // median-of-5 per scenario
 constexpr int kAnalysisDrivers = 2;
+constexpr const char* kSpans[] = {"halo.fof", "halo.tree", "halo.centers",
+                                  "halo.properties"};
+constexpr const char* kFields[] = {"fof_s", "tree_s", "centers_s",
+                                   "properties_s"};
 
-struct HaloChainStats {
-  double step_median_s = 0.0;  // median analysis step wall time
-  double fof_s = 0.0;          // halo.fof span total across all reps
-  double tree_s = 0.0;         // halo.tree
-  double centers_s = 0.0;      // halo.centers
-  double props_s = 0.0;        // halo.properties
-  std::size_t halos = 0;
-  std::uint32_t crc = 0;       // CRC32 of the sorted catalog (bit-identity)
-};
-
-double span_total(const char* name) {
-  for (const auto& st : obs::Tracer::instance().summary())
-    if (st.name == name) return st.total_s;
-  return 0.0;
-}
-
-/// Short unoptimizable per-item loop, same shape as ablation_deposit's
-/// stand-in: keeps the pool busy without saturating memory bandwidth.
-double item_work(std::size_t i) {
-  double acc = 0.0;
-  for (int k = 1; k <= 12; ++k)
-    acc += std::sqrt(static_cast<double>(i % 1024 + static_cast<std::size_t>(k)));
-  return acc;
-}
-
-/// One scenario: kReps full analysis steps on the given backend, optionally
-/// with kAnalysisDrivers threads issuing parallel_for loops on the shared
-/// pool for the whole duration (the co-scheduled in-situ job).
-HaloChainStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
-  const double fof0 = span_total("halo.fof");
-  const double tree0 = span_total("halo.tree");
-  const double centers0 = span_total("halo.centers");
-  const double props0 = span_total("halo.properties");
-
-  std::atomic<bool> stop{false};
-  std::atomic<double> sink{0.0};
-  std::vector<std::thread> drivers;
-  if (concurrent_analysis) {
-    for (int d = 0; d < kAnalysisDrivers; ++d)
-      drivers.emplace_back([&] {
-        std::vector<double> out(1 << 14);
-        while (!stop.load(std::memory_order_relaxed)) {
-          dpp::ThreadPool::instance().parallel_for(
-              out.size(), [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i) out[i] = item_work(i);
-              });
-          sink.store(out[out.size() / 2], std::memory_order_relaxed);
-        }
-      });
-  }
-
-  HaloChainStats s;
-  std::vector<double> step_s;
+/// One scenario: kReps full analysis steps on the given backend, with
+/// `drivers` analysis-driver threads sharing the pool for the whole duration.
+bench_common::Scenario run_scenario(bench_common::Runner& runner,
+                                    const char* name, dpp::Backend be,
+                                    int drivers) {
+  bench_common::AnalysisDrivers co_scheduled(drivers);
+  bench_common::Scenario result;
   comm::run_spmd(1, [&](comm::Comm& c) {
     sim::Cosmology cosmo;
     sim::SyntheticConfig ucfg;
@@ -112,46 +63,23 @@ HaloChainStats run_scenario(dpp::Backend be, bool concurrent_analysis) {
     core::register_full_halo_pipeline(manager);
     manager.configure(core::CosmoToolsConfig::parse(
         "[halofinder]\nlinking_length 0.32\nmin_size 40\noverload 2.0\n"));
-    for (int r = 1; r <= kReps; ++r) {
+    result = runner.run(name, [&](int rep) {
+      double before[4];
+      for (int k = 0; k < 4; ++k) before[k] = span_total(kSpans[k]);
       WallTimer t;
-      sim::StepContext step{static_cast<std::size_t>(r),
+      sim::StepContext step{static_cast<std::size_t>(rep + 1),
                             static_cast<std::size_t>(kReps), 1.0, 0.0};
       auto ctx = manager.execute_step(step, u.local);
-      step_s.push_back(t.seconds());
-      stats::sort_catalog(ctx.catalog);
-      const auto bytes = stats::catalog_to_bytes(ctx.catalog);
-      const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-      if (r == 1) {
-        s.halos = ctx.catalog.size();
-        s.crc = crc;
-      } else if (crc != s.crc) {
-        s.crc = 0;  // reps disagreed — poison so the identity check fails
-      }
-    }
+      bench_common::Sample s;
+      s.seconds = t.seconds();
+      s.crc = bench_common::catalog_crc(ctx.catalog);
+      for (int k = 0; k < 4; ++k)
+        s.fields.emplace_back(kFields[k], span_total(kSpans[k]) - before[k]);
+      s.fields.emplace_back("halos", static_cast<double>(ctx.catalog.size()));
+      return s;
+    });
   });
-
-  stop.store(true);
-  for (auto& t : drivers) t.join();
-
-  std::sort(step_s.begin(), step_s.end());
-  s.step_median_s = step_s[step_s.size() / 2];
-  s.fof_s = span_total("halo.fof") - fof0;
-  s.tree_s = span_total("halo.tree") - tree0;
-  s.centers_s = span_total("halo.centers") - centers0;
-  s.props_s = span_total("halo.properties") - props0;
-  return s;
-}
-
-void json_scenario(std::ofstream& j, const char* name, const HaloChainStats& s,
-                   double baseline_step_s, bool last) {
-  j << "    {\"scenario\": \"" << name
-    << "\", \"step_median_s\": " << s.step_median_s
-    << ", \"fof_s_total\": " << s.fof_s << ", \"tree_s_total\": " << s.tree_s
-    << ", \"centers_s_total\": " << s.centers_s
-    << ", \"properties_s_total\": " << s.props_s
-    << ", \"speedup_vs_serial\": "
-    << baseline_step_s / std::max(s.step_median_s, 1e-12) << "}"
-    << (last ? "\n" : ",\n");
+  return result;
 }
 
 }  // namespace
@@ -164,64 +92,37 @@ int main(int argc, char** argv) {
       "the in-situ halo pipeline; the last serially-dispatched analysis "
       "phase");
 
-  const auto serial = run_scenario(dpp::Backend::Serial, false);
-  const auto pooled = run_scenario(dpp::Backend::ThreadPool, false);
-  const auto serial_co = run_scenario(dpp::Backend::Serial, true);
-  const auto pooled_co = run_scenario(dpp::Backend::ThreadPool, true);
-
-  const bool bit_identical = serial.crc != 0 && serial.crc == pooled.crc &&
-                             serial.crc == serial_co.crc &&
-                             serial.crc == pooled_co.crc;
+  bench_common::Runner runner("ablation_halo", kReps);
+  const auto serial =
+      run_scenario(runner, "serial_standalone", dpp::Backend::Serial, 0);
+  const auto pooled =
+      run_scenario(runner, "pooled_standalone", dpp::Backend::ThreadPool, 0);
+  const auto serial_co = run_scenario(runner, "serial_concurrent_analysis",
+                                      dpp::Backend::Serial, kAnalysisDrivers);
+  const auto pooled_co =
+      run_scenario(runner, "pooled_concurrent_analysis",
+                   dpp::Backend::ThreadPool, kAnalysisDrivers);
 
   TextTable t({"scenario", "step median (s)", "fof (s)", "centers (s)",
                "props (s)", "speedup"});
-  auto add = [&](const char* name, const HaloChainStats& s, double base) {
-    t.add_row({name, TextTable::num(s.step_median_s, 3),
-               TextTable::num(s.fof_s / kReps, 3),
-               TextTable::num(s.centers_s / kReps, 3),
-               TextTable::num(s.props_s / kReps, 3),
-               TextTable::num(base / std::max(s.step_median_s, 1e-12), 2)});
+  auto add = [&](const char* name, const bench_common::Scenario& s,
+                 const bench_common::Scenario& base) {
+    t.add_row({name, TextTable::num(s.seconds().median, 3),
+               TextTable::num(s.field("fof_s").median, 3),
+               TextTable::num(s.field("centers_s").median, 3),
+               TextTable::num(s.field("properties_s").median, 3),
+               TextTable::num(base.seconds().median /
+                                  std::max(s.seconds().median, 1e-12),
+                              2)});
   };
-  add("serial standalone (baseline)", serial, serial.step_median_s);
-  add("pooled standalone", pooled, serial.step_median_s);
-  add("serial + analysis drivers", serial_co, serial_co.step_median_s);
-  add("pooled + analysis drivers", pooled_co, serial_co.step_median_s);
+  add("serial standalone (baseline)", serial, serial);
+  add("pooled standalone", pooled, serial);
+  add("serial + analysis drivers", serial_co, serial_co);
+  add("pooled + analysis drivers", pooled_co, serial_co);
   t.print(std::cout);
   std::printf(
-      "%zu catalog halos, %d analysis steps per scenario (median reported); "
-      "%d analysis drivers in the concurrent scenarios\n"
-      "catalog bit-identical across backends, grains and scenarios: %s "
-      "(crc32 %08x)\npool workers: %zu; host threads: %u\n",
-      serial.halos, kReps, kAnalysisDrivers,
-      bit_identical ? "YES" : "NO — determinism contract violated",
-      serial.crc, dpp::ThreadPool::instance().workers(),
-      std::thread::hardware_concurrency());
-
-  {
-    std::ofstream j("BENCH_halo.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"ablation_halo\",\n"
-      << "  \"pool_workers\": " << dpp::ThreadPool::instance().workers()
-      << ",\n  \"host_threads\": " << std::thread::hardware_concurrency()
-      << ",\n  \"catalog_halos\": " << serial.halos
-      << ",\n  \"steps_per_scenario\": " << kReps
-      << ",\n  \"analysis_drivers\": " << kAnalysisDrivers
-      << ",\n  \"catalog_bit_identical\": "
-      << (bit_identical ? "true" : "false") << ",\n  \"catalog_crc32\": \""
-      << std::hex << serial.crc << std::dec << "\",\n"
-      << "  \"baseline_serial_step\": {\n"
-      << "    \"note\": \"Backend::Serial chain measured in this run; "
-         "pooled speedups below are quoted against the matching serial "
-         "scenario\",\n"
-      << "    \"step_median_s\": " << serial.step_median_s << "\n  },\n"
-      << "  \"scenarios\": [\n";
-    json_scenario(j, "serial_standalone", serial, serial.step_median_s, false);
-    json_scenario(j, "pooled_standalone", pooled, serial.step_median_s, false);
-    json_scenario(j, "serial_concurrent_analysis", serial_co,
-                  serial_co.step_median_s, false);
-    json_scenario(j, "pooled_concurrent_analysis", pooled_co,
-                  serial_co.step_median_s, true);
-    j << "  ]\n}\n";
-    if (j.good()) std::printf("wrote BENCH_halo.json\n");
-  }
-  return !bit_identical;
+      "%.0f catalog halos, %d analysis steps per scenario (medians "
+      "reported); %d analysis drivers in the concurrent scenarios\n",
+      serial.field("halos").median, kReps, kAnalysisDrivers);
+  return runner.finish("BENCH_halo.json");
 }

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "bench_common.h"
 #include "dpp/primitives.h"
 #include "dpp/thread_pool.h"
 #include "fft/fft.h"
@@ -144,14 +145,10 @@ BENCHMARK(BM_CenterBrute)->Args({0, 3000})->Args({1, 3000});
 
 // --- Scheduler microbenchmarks (work-stealing dispatch path) ------------
 //
-// A few sqrt's per item: heavy enough that the dispatch isn't pure
-// overhead, light enough that chunk-claim cost shows up if the grain is
-// mis-set.
-double item_work(std::size_t i) {
-  double acc = static_cast<double>(i & 0xff) * 1e-3;
-  for (int r = 0; r < 8; ++r) acc = std::sqrt(acc + 1.0 + static_cast<double>(r));
-  return acc;
-}
+// bench_common::item_work is a few sqrt's per item: heavy enough that the
+// dispatch isn't pure overhead, light enough that chunk-claim cost shows up
+// if the grain is mis-set.
+using bench_common::item_work;
 
 /// Grain sweep on a fixed dispatch: range(0) = grain (0 = auto). Shows the
 /// tradeoff between chunk-claim overhead (tiny grain) and lost balancing

@@ -9,13 +9,19 @@
 // while the combined variants' 2-node jobs fit immediately — and the
 // co-scheduled variant's jobs are submitted by the Listener while the
 // simulation still runs.
+//
+// All five variants must produce one catalog: each is CRC'd, and the bench
+// exits nonzero if any differs. Results land in BENCH_table4.json.
 #include <cstdio>
 
 #include "bench_common.h"
 #include "sched/batch_scheduler.h"
+#include "util/timer.h"
 
 using namespace cosmo;
 using core::WorkflowKind;
+
+constexpr int kReps = 1;  // one run per variant: Table 4 compares shapes
 
 int main(int argc, char** argv) {
   bench_common::ObsSession obs_session(argc, argv);
@@ -37,15 +43,32 @@ int main(int argc, char** argv) {
       {WorkflowKind::CombinedInTransit, "combined (in-transit)"},
   };
 
+  bench_common::Runner runner("table4_workflow_detail", kReps);
   core::WorkflowResult results[5];
-  int idx = 0;
-  for (const auto& c : cases) {
-    auto p = bench_common::table34_problem(
-        std::string("t4_") + std::to_string(static_cast<int>(c.kind)));
-    auto r = core::run_workflow(c.kind, p);
-    std::filesystem::remove_all(p.workdir);
-    results[idx++] = r;
-    const auto& ph = r.times;
+  for (int i = 0; i < 5; ++i) {
+    const auto& c = cases[i];
+    runner.run(c.label, [&](int) {
+      auto p = bench_common::table34_problem(
+          std::string("t4_") + std::to_string(static_cast<int>(c.kind)));
+      WallTimer wall;
+      results[i] = core::run_workflow(c.kind, p);
+      bench_common::Sample s;
+      s.seconds = wall.seconds();
+      std::filesystem::remove_all(p.workdir);
+      s.crc = bench_common::catalog_crc(results[i].catalog);
+      const auto& ph = results[i].times;
+      s.fields = {{"sim_s", ph.sim},
+                  {"analysis_s", ph.analysis},
+                  {"write_s", ph.write},
+                  {"read_s", ph.read},
+                  {"redistribute_s", ph.redistribute},
+                  {"post_analysis_s", ph.post_analysis},
+                  {"post_write_s", ph.post_write},
+                  {"sim_total_s", ph.sim_total()},
+                  {"post_total_s", ph.post_total()}};
+      return s;
+    });
+    const auto& ph = results[i].times;
     t.add_row({c.label, TextTable::num(ph.sim, 3), TextTable::num(ph.analysis, 3),
                TextTable::num(ph.write, 3), TextTable::num(ph.read, 3),
                TextTable::num(ph.redistribute, 3),
@@ -55,25 +78,6 @@ int main(int argc, char** argv) {
                TextTable::num(ph.post_total(), 3)});
   }
   t.print(std::cout);
-
-  // Machine-readable copy of the table for downstream tooling.
-  {
-    std::ofstream j("BENCH_table4.json", std::ios::trunc);
-    j << "{\n  \"bench\": \"table4_workflow_detail\",\n  \"workflows\": [";
-    for (int i = 0; i < 5; ++i) {
-      const auto& ph = results[i].times;
-      j << (i ? "," : "") << "\n    {\"workflow\": \"" << cases[i].label
-        << "\", \"sim_s\": " << ph.sim << ", \"analysis_s\": " << ph.analysis
-        << ", \"write_s\": " << ph.write << ", \"read_s\": " << ph.read
-        << ", \"redistribute_s\": " << ph.redistribute
-        << ", \"post_analysis_s\": " << ph.post_analysis
-        << ", \"post_write_s\": " << ph.post_write
-        << ", \"sim_total_s\": " << ph.sim_total()
-        << ", \"post_total_s\": " << ph.post_total() << "}";
-    }
-    j << "\n  ]\n}\n";
-    if (j.good()) std::printf("\nwrote BENCH_table4.json\n");
-  }
 
   // Queueing: model the three strategies on a busy Titan-like machine.
   // Background load: a stream of large jobs that an analysis job needing
@@ -130,6 +134,6 @@ int main(int argc, char** argv) {
       "shape to match: combined halves the in-situ analysis time (the\n"
       "monster halo moves to the post job); off-line pays the largest\n"
       "read+redistribute; in-transit drops the Level 2 read to ~0;\n"
-      "co-scheduled starts its analysis before the simulation ends.\n");
-  return 0;
+      "co-scheduled starts its analysis before the simulation ends.\n\n");
+  return runner.finish("BENCH_table4.json");
 }
